@@ -20,9 +20,11 @@
 //
 // Numeric contracts (must mirror engine::EvalBinaryOp / EvalUnaryOp and
 // AccumulateNative exactly — the row path is the oracle):
-//   * int64 +,-,* wrap; int64 / and % raise InvalidArgument on a zero
-//     divisor AT A VALID LANE ("division by zero" / "modulo by zero");
-//     float64 / raises on a divisor that compares equal to 0.0.
+//   * int64 arithmetic wraps (the Wrap* helpers below): +, -, * and unary
+//     minus modulo 2^64, INT64_MIN / -1 = INT64_MIN and x % -1 = 0; int64
+//     / and % raise InvalidArgument on a zero divisor AT A VALID LANE
+//     ("division by zero" / "modulo by zero"); float64 / raises on a
+//     divisor that compares equal to 0.0.
 //   * comparisons run in the double domain (int64 operands are converted
 //     first, matching Value::AsDouble coercion) and yield int64 0/1;
 //     NaN compares unordered (only != is true).
@@ -48,6 +50,31 @@
 #include "core/column.h"
 
 namespace sqlarray::col {
+
+// Signed wrap-around int64 arithmetic without UB, shared by the kernels and
+// the row path (engine::EvalBinaryOp, AccumulateNative): the unsigned
+// round-trip gives two's-complement bits. Division and modulo wrap their one
+// overflowing case, INT64_MIN / -1, and are undefined for a zero divisor
+// (callers check it first).
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrapNeg(int64_t a) {
+  return static_cast<int64_t>(uint64_t{0} - static_cast<uint64_t>(a));
+}
+inline int64_t WrapDiv(int64_t a, int64_t b) {
+  return b == -1 ? WrapNeg(a) : a / b;
+}
+inline int64_t WrapMod(int64_t a, int64_t b) { return b == -1 ? 0 : a % b; }
 
 /// Elements per cancellation probe inside the kernel loops.
 inline constexpr int32_t kCancelBlock = 8192;

@@ -5,11 +5,11 @@
 #include <cmath>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "common/bytes.h"
 #include "common/stopwatch.h"
+#include "core/vec_kernels.h"
 #include "engine/batch.h"
 #include "engine/vec_expr.h"
 #include "obs/metrics.h"
@@ -152,6 +152,13 @@ bool HasAggregates(const Query& q) {
   return false;
 }
 
+bool HasUda(const Query& q) {
+  for (const SelectItem& item : q.items) {
+    if (item.agg == SelectItem::AggKind::kUda) return true;
+  }
+  return false;
+}
+
 /// Accumulator for one aggregate within one group.
 struct AggState {
   int64_t count = 0;
@@ -164,12 +171,12 @@ struct AggState {
   std::unique_ptr<Uda> uda;
   std::vector<uint8_t> uda_state;
 
-  /// Combines a partial accumulator from another scan worker (native
-  /// aggregate kinds only; UDAs never take the parallel path).
+  /// Combines a partial accumulator from another morsel (native aggregate
+  /// kinds only; UDAs never take the morsel plan). Integer sums wrap.
   void Merge(const AggState& other) {
     count += other.count;
     sum += other.sum;
-    isum += other.isum;
+    isum = col::WrapAdd(isum, other.isum);
     mn = std::min(mn, other.mn);
     mx = std::max(mx, other.mx);
     int_only = int_only && other.int_only;
@@ -177,8 +184,9 @@ struct AggState {
 };
 
 /// Folds one evaluated aggregate argument into the accumulator. Shared by
-/// the serial, parallel, and batched paths so accumulation arithmetic (and
-/// therefore results) is identical bit for bit across them.
+/// every row-at-a-time loop so accumulation arithmetic (and therefore
+/// results) is identical bit for bit across them; the columnar folds
+/// (col::FoldI64 / FoldF64) mirror it, integer sums wrapping included.
 Status AccumulateNative(SelectItem::AggKind agg, const Value& v,
                         AggState* st) {
   if (v.is_null()) return Status::OK();
@@ -188,7 +196,7 @@ Status AccumulateNative(SelectItem::AggKind agg, const Value& v,
   }
   SQLARRAY_ASSIGN_OR_RETURN(double d, v.AsDouble());
   if (v.kind() == Value::Kind::kInt64) {
-    st->isum += v.AsInt().value();
+    st->isum = col::WrapAdd(st->isum, v.AsInt().value());
   } else {
     st->int_only = false;
   }
@@ -229,15 +237,22 @@ bool IsCountStar(const SelectItem& item) {
          (item.expr == nullptr || item.expr->kind == Expr::Kind::kStar);
 }
 
-/// Batch-eligibility for aggregation: table source, ungrouped, native
-/// aggregates only. Grouped queries and UDAs keep the row loop (group
-/// creation and UDA state marshaling are inherently per-row).
-bool CanBatchAggregate(const Query& q) {
-  if (q.table == nullptr || !q.group_by.empty()) return false;
-  for (const SelectItem& item : q.items) {
-    if (item.agg == SelectItem::AggKind::kUda) return false;
-  }
-  return true;
+/// True when a table scan takes the chunk helpers' batched branch: a batch
+/// setting above 1 and no GROUP BY (group creation is inherently per-row).
+/// Row-mode TOP stays on the early-exit row loop too: gathering a whole
+/// batch past the limit would inflate rows_scanned.
+bool BatchedScan(const Query& q, int batch_rows) {
+  if (batch_rows <= 1 || !q.group_by.empty()) return false;
+  return HasAggregates(q) || q.top < 0;
+}
+
+/// SQL truthiness of WHERE on the context's current row (NULL is false).
+Result<bool> RowPasses(const Query& q, EvalContext& ctx) {
+  if (q.where == nullptr) return true;
+  SQLARRAY_ASSIGN_OR_RETURN(Value keep, Eval(*q.where, ctx));
+  if (keep.is_null()) return false;
+  SQLARRAY_ASSIGN_OR_RETURN(int64_t truthy, keep.AsInt());
+  return truthy != 0;
 }
 
 /// Evaluates the WHERE column for a gathered batch and fills `sel` with the
@@ -303,7 +318,6 @@ VecQueryPlan BuildVecPlan(const Query& q,
                           const std::map<std::string, Value>* variables,
                           bool rows_mode) {
   VecQueryPlan p;
-  if (q.table == nullptr) return p;
   const storage::Schema& schema = q.table->schema();
   if (q.where != nullptr) {
     p.where_ok = vec::VecProgram::Compile(*q.where, schema, variables, &p.where);
@@ -404,13 +418,6 @@ void AppendGroupKey(const Value& v, std::string* out) {
   out->push_back('\x1f');
 }
 
-// ---------------------------------------------------------------------------
-// Morsel-path helpers. A morsel is one contiguous leaf-page range from the
-// deterministic grid (engine/parallel.h); each helper folds a morsel's rows
-// into a private partial result using the same accumulation arithmetic and
-// per-row cost charges as the serial loops above, so partials merged in
-// morsel-index order reproduce the serial result bit for bit.
-
 /// True if any call node in the tree binds a function matching `pred`.
 template <typename Pred>
 bool AnyBoundCall(const Expr* e, const Pred& pred) {
@@ -440,8 +447,16 @@ bool QueryHasBoundCall(const Query& q, const Pred& pred) {
   return false;
 }
 
-/// One group's accumulators — shared by the serial GROUP BY loop and the
-/// per-morsel partials so both sides use identical state.
+/// True when the scan may use more than one worker. Reader-style UDFs
+/// re-enter the session through the subquery runner, so a query calling
+/// one runs on the calling thread.
+bool ParallelSafe(const Query& q) {
+  return !QueryHasBoundCall(
+      q, [](const ScalarFunction& f) { return f.needs_subquery; });
+}
+
+/// One group's accumulators. An ungrouped aggregation is the single group
+/// with the empty key.
 struct GroupAcc {
   std::vector<Value> keys;         // evaluated group_by exprs
   std::vector<Value> plain_items;  // first-row values of non-agg items
@@ -471,6 +486,13 @@ Result<MorselPlanInfo> PlanMorselScan(const Query& q, int requested_workers,
   MorselPlanInfo plan;
   SQLARRAY_ASSIGN_OR_RETURN(plan.pages, q.table->CollectLeafPages(snap));
   const int64_t n_pages = static_cast<int64_t>(plan.pages.size());
+  if (!ParallelSafe(q)) {
+    // A serial source is a one-morsel grid: the partial's fold chain is
+    // the serial chain, so float results match a plain row loop bit for bit.
+    plan.morsel_pages = std::max<size_t>(1, plan.pages.size());
+    plan.n_morsels = plan.pages.empty() ? 0 : 1;
+    return plan;
+  }
   plan.morsel_pages = static_cast<size_t>(MorselPages(n_pages));
   plan.n_morsels =
       (plan.pages.size() + plan.morsel_pages - 1) / plan.morsel_pages;
@@ -509,6 +531,151 @@ inline int64_t RowFootprint(size_t n_items) {
   return static_cast<int64_t>(n_items * sizeof(Value)) + 32;
 }
 
+/// Folds the current row into a UDA. SQL Server's hosting contract: the
+/// state crosses the CLR boundary (deserialize + serialize) on EVERY row
+/// (Sec. 4.2).
+Status FoldUda(const SelectItem& item, const FunctionRegistry* registry,
+               const CostModel& cost, EvalContext& ctx, AggState* st) {
+  QueryStats* stats = ctx.udf.stats;
+  if (st->uda == nullptr) {
+    SQLARRAY_ASSIGN_OR_RETURN(
+        const UdaFactory* factory,
+        registry->ResolveUda(item.uda_schema, item.uda_name));
+    st->uda = (*factory)();
+    std::vector<Value> init_args;
+    for (const ExprPtr& a : item.uda_args) {
+      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*a, ctx));
+      init_args.push_back(std::move(v));
+    }
+    SQLARRAY_ASSIGN_OR_RETURN(st->uda_state,
+                              st->uda->Init(init_args, ctx.udf));
+  }
+  std::vector<Value> row_args;
+  for (const ExprPtr& a : item.uda_args) {
+    SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*a, ctx));
+    row_args.push_back(std::move(v));
+  }
+  int64_t state_bytes = static_cast<int64_t>(st->uda_state.size());
+  stats->uda_state_bytes += 2 * state_bytes;
+  stats->udf_calls++;
+  double uda_charge_ns =
+      cost.clr_call_ns +
+      2.0 * cost.uda_state_byte_ns * static_cast<double>(state_bytes);
+  stats->ChargeCpuNs(uda_charge_ns);
+  if (stats->track_udf_detail) {
+    QueryStats::UdfFnStats& d =
+        stats->udf_by_fn[item.uda_schema + "." + item.uda_name];
+    d.calls++;
+    d.bytes += 2 * state_bytes;
+    d.cpu_ns += uda_charge_ns;
+  }
+  SQLARRAY_ASSIGN_OR_RETURN(st->uda_state,
+                            st->uda->Accumulate(st->uda_state, row_args,
+                                                ctx.udf));
+  return Status::OK();
+}
+
+/// Folds the current row into one group, item by item: plain items keep
+/// their first-row value, COUNT(*) is a bare increment folded into the
+/// row-scan cost, other native aggregates pay one evaluation step, and UDAs
+/// marshal their state (only the serial sink sees UDAs, so only it passes a
+/// registry).
+/// Shared by every row-at-a-time loop, so charges and fold order match.
+Status FoldRow(const Query& q, const CostModel& cost,
+               const FunctionRegistry* registry, EvalContext& ctx,
+               GroupAcc* group) {
+  QueryStats* stats = ctx.udf.stats;
+  const size_t n_items = q.items.size();
+  for (size_t i = 0; i < n_items; ++i) {
+    const SelectItem& item = q.items[i];
+    AggState& st = group->aggs[i];
+    if (item.agg == SelectItem::AggKind::kNone) {
+      if (!group->plain_filled) {
+        SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
+        group->plain_items.resize(n_items);
+        group->plain_items[i] = std::move(v);
+      }
+    } else if (item.agg == SelectItem::AggKind::kUda) {
+      SQLARRAY_RETURN_IF_ERROR(FoldUda(item, registry, cost, ctx, &st));
+    } else if (IsCountStar(item)) {
+      st.count++;
+    } else {
+      stats->agg_steps++;
+      stats->ChargeCpuNs(cost.native_agg_step_ns);
+      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
+      SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
+    }
+  }
+  group->plain_filled = true;
+  return Status::OK();
+}
+
+/// Evaluates the GROUP BY keys on the current row and folds the row into
+/// its group, creating the group on first sight. A fresh group of a GROUP
+/// BY is charged against the budget: the hash table is where grouped
+/// aggregation's memory actually grows.
+Status GroupAndFoldRow(const Query& q, const CostModel& cost,
+                       const FunctionRegistry* registry,
+                       const gov::QueryLimits* limits, EvalContext& ctx,
+                       std::map<std::string, GroupAcc>* groups) {
+  std::string key;
+  std::vector<Value> key_vals;
+  for (const ExprPtr& g : q.group_by) {
+    SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
+    AppendGroupKey(v, &key);
+    key_vals.push_back(std::move(v));
+  }
+  GroupAcc& group = (*groups)[key];
+  if (group.aggs.empty()) {
+    const size_t n_items = q.items.size();
+    if (!q.group_by.empty()) {
+      SQLARRAY_RETURN_IF_ERROR(GovCharge(
+          limits, static_cast<int64_t>(key.size()) +
+                      static_cast<int64_t>(n_items * sizeof(AggState)) +
+                      RowFootprint(q.group_by.size())));
+    }
+    group.keys = std::move(key_vals);
+    group.aggs.resize(n_items);
+  }
+  return FoldRow(q, cost, registry, ctx, &group);
+}
+
+/// Appends every group's output row to `rs` in key order. Aggregate-only
+/// queries over empty inputs still yield one row.
+Status EmitGroups(const Query& q, std::map<std::string, GroupAcc>* groups,
+                  UdfContext& udf, ResultSet* rs) {
+  const size_t n_items = q.items.size();
+  if (groups->empty() && q.group_by.empty()) {
+    (*groups)[""].aggs.resize(n_items);
+  }
+  for (auto& [key, group] : *groups) {
+    (void)key;
+    std::vector<Value> row;
+    for (size_t i = 0; i < n_items; ++i) {
+      const SelectItem& item = q.items[i];
+      AggState& st = group.aggs[i];
+      if (item.agg == SelectItem::AggKind::kNone) {
+        row.push_back(i < group.plain_items.size()
+                          ? std::move(group.plain_items[i])
+                          : Value::Null());
+      } else if (item.agg == SelectItem::AggKind::kUda) {
+        if (st.uda == nullptr) {
+          row.push_back(Value::Null());
+          continue;
+        }
+        SQLARRAY_ASSIGN_OR_RETURN(Value v,
+                                  st.uda->Terminate(st.uda_state, udf));
+        row.push_back(std::move(v));
+      } else {
+        SQLARRAY_ASSIGN_OR_RETURN(Value v, FinishNative(item.agg, st));
+        row.push_back(std::move(v));
+      }
+    }
+    rs->rows.push_back(std::move(row));
+  }
+  return Status::OK();
+}
+
 void MergeStats(QueryStats* into, const QueryStats& part) {
   into->rows_scanned += part.rows_scanned;
   into->rows_kept += part.rows_kept;
@@ -539,114 +706,189 @@ Status FillBatchFromCursor(Cursor& cursor, RowBatch* batch) {
   return Status::OK();
 }
 
-/// Partial result of one morsel of an ungrouped aggregation.
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// The scan pipeline. Every table query without a UDA runs here: the leaf
+// chain is cut into the deterministic morsel grid (engine/parallel.h), and
+// each morsel's rows are filtered and folded into a private partial —
+// batched or row at a time, with the same accumulation arithmetic and
+// per-row cost charges either way — then the partials merge in
+// morsel-index order.
+
+/// What every morsel of one scan shares read-only: the query, its grid, the
+/// executor's batch and vector settings, and the UDF context template
+/// (buffer pool, cost model, subquery runner, governance). Each morsel
+/// copies `udf` and points its stats at its own partial.
+struct ScanEnv {
+  const Query* q = nullptr;
+  const CostModel* cost = nullptr;
+  std::map<std::string, Value>* variables = nullptr;
+  UdfContext udf;
+  storage::PageSource* snap = nullptr;
+  int batch_rows = 1;
+  MorselPlanInfo plan;
+  VecQueryPlan vplan;  ///< empty unless the batched branch runs
+
+  const VecQueryPlan* vec() const { return vplan.any ? &vplan : nullptr; }
+  const gov::QueryLimits* limits() const { return udf.limits; }
+};
+
+namespace {
+
+/// Opens a cursor over one morsel's slice of the leaf chain: through the
+/// statement's snapshot when one is installed, else through the shared
+/// buffer pool with readahead.
+Result<storage::BTree::ChunkCursor> OpenMorsel(const ScanEnv& env,
+                                               const Morsel& m) {
+  std::vector<storage::PageId> chunk(env.plan.pages.begin() + m.page_begin,
+                                     env.plan.pages.begin() + m.page_end);
+  if (env.snap != nullptr) {
+    return env.q->table->ScanChunk(env.snap, std::move(chunk));
+  }
+  return env.q->table->ScanChunk(env.udf.pool, std::move(chunk),
+                                 kMorselReadahead);
+}
+
+/// The batched branch's reader over one morsel: gathers row blocks from the
+/// cursor and filters them (columnar WHERE when it compiled, EvalBatch
+/// otherwise), leaving the survivors in `sel`. The gather buffer and the
+/// register file are charged against the statement budget for the morsel's
+/// lifetime only, so a scan's budget need does not grow with its morsel
+/// count.
+class BatchScan {
+ public:
+  BatchScan(const ScanEnv& env, UdfContext* udf)
+      : env_(env), rsz_(env.q->table->schema().row_size()) {
+    bctx.schema = &env.q->table->schema();
+    bctx.batch = &batch;
+    bctx.variables = env.variables;
+    bctx.udf = udf;
+    bctx.byte_pool = &byte_pool_;
+    bctx.arena = &arena;
+  }
+  ~BatchScan() {
+    if (env_.limits() != nullptr) env_.limits()->Release(charged_);
+  }
+  BatchScan(const BatchScan&) = delete;
+  BatchScan& operator=(const BatchScan&) = delete;
+
+  /// Charges the morsel's scratch.
+  Status Start() {
+    charged_ = rsz_ * static_cast<int64_t>(env_.batch_rows);
+    if (env_.vec() != nullptr) {
+      charged_ += VecPlanFootprint(*env_.vec(), env_.batch_rows);
+    }
+    return GovCharge(env_.limits(), charged_);
+  }
+
+  /// Gathers and filters the next block; false once the morsel is drained.
+  Result<bool> Next(storage::BTree::ChunkCursor& cursor) {
+    SQLARRAY_RETURN_IF_ERROR(GovCheck(env_.limits()));
+    batch.Reset(rsz_, env_.batch_rows);
+    SQLARRAY_RETURN_IF_ERROR(FillBatchFromCursor(cursor, &batch));
+    if (batch.size() == 0) return false;
+    QueryStats* stats = bctx.udf->stats;
+    stats->rows_scanned += batch.size();
+    for (int32_t i = 0; i < batch.size(); ++i) {
+      stats->ChargeCpuNs(env_.cost->row_scan_ns);
+    }
+    const VecQueryPlan* vplan = env_.vec();
+    if (vplan != nullptr) {
+      VecBatchesCounter().Add(1);
+      VecRowsCounter().Add(batch.size());
+    }
+    if (vplan != nullptr && vplan->where_ok) {
+      SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(vplan->where, batch,
+                                              &vscratch.regs, &vscratch.trunc,
+                                              &sel));
+      bctx.sel = nullptr;
+    } else {
+      SQLARRAY_RETURN_IF_ERROR(FilterBatch(*env_.q, &bctx, &keep_col_, &sel));
+      if (vplan != nullptr && env_.q->where != nullptr) {
+        VecFallbackRowsCounter().Add(batch.size());
+      }
+    }
+    stats->rows_kept += static_cast<int64_t>(sel.size());
+    return true;
+  }
+
+  RowBatch batch;
+  BatchContext bctx;
+  EvalArena arena;
+  std::vector<int32_t> sel;
+  VecScratch vscratch;
+
+ private:
+  const ScanEnv& env_;
+  const int64_t rsz_;
+  int64_t charged_ = 0;
+  ByteBufferPool byte_pool_;
+  std::vector<Value> keep_col_;
+};
+
+/// Partial result of one morsel of an aggregation.
 struct AggPartial {
-  std::vector<AggState> states;
-  std::vector<Value> plain;  // first-surviving-row values of kNone items
-  bool plain_filled = false;
+  std::map<std::string, GroupAcc> groups;
   QueryStats stats;
 };
 
-/// Folds one morsel's rows into an ungrouped-aggregate partial, honoring
-/// the executor's batch setting (the inner loops mirror ExecuteAggregate /
-/// ExecuteAggregateBatched exactly).
-Status AggregateChunk(const Query& q, const CostModel& cost,
-                      std::map<std::string, Value>* variables,
-                      storage::BufferPool* pool, int batch_rows,
-                      bool udf_detail, const gov::QueryLimits* limits,
-                      const VecQueryPlan* vplan,
-                      storage::BTree::ChunkCursor cursor, AggPartial* out) {
+/// Folds one morsel's rows into an aggregation partial: ungrouped queries
+/// take the batched branch when BatchedScan allows, everything else the
+/// row loop.
+Status AggregateChunk(const ScanEnv& env, storage::BTree::ChunkCursor cursor,
+                      AggPartial* out) {
+  const Query& q = *env.q;
+  const CostModel& cost = *env.cost;
   const size_t n_items = q.items.size();
-  out->states.resize(n_items);
-  out->plain.resize(n_items);
-  out->stats.track_udf_detail = udf_detail;
-
-  UdfContext udf;
-  udf.pool = pool;
+  UdfContext udf = env.udf;
   udf.stats = &out->stats;
-  udf.cost = &cost;
-  udf.limits = limits;
 
-  if (batch_rows > 1) {
-    RowBatch batch;
-    ByteBufferPool byte_pool;
-    EvalArena arena;
-    BatchContext bctx;
-    bctx.schema = &q.table->schema();
-    bctx.batch = &batch;
-    bctx.variables = variables;
-    bctx.udf = &udf;
-    bctx.byte_pool = &byte_pool;
-    bctx.arena = &arena;
-    std::vector<int32_t> sel;
-    std::vector<Value> keep_col, col;
-    VecScratch vscratch;
-    const int64_t rsz = q.table->schema().row_size();
-    // The gather buffer is the batched path's private allocation; so is the
-    // columnar register file when a vectorized plan runs.
-    SQLARRAY_RETURN_IF_ERROR(
-        GovCharge(limits, rsz * static_cast<int64_t>(batch_rows)));
-    if (vplan != nullptr) {
-      SQLARRAY_RETURN_IF_ERROR(
-          GovCharge(limits, VecPlanFootprint(*vplan, batch_rows)));
-    }
+  if (BatchedScan(q, env.batch_rows)) {
+    BatchScan scan(env, &udf);
+    SQLARRAY_RETURN_IF_ERROR(scan.Start());
+    const VecQueryPlan* vplan = env.vec();
+    std::vector<Value> col;
     while (true) {
-      SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-      batch.Reset(rsz, batch_rows);
-      SQLARRAY_RETURN_IF_ERROR(FillBatchFromCursor(cursor, &batch));
-      if (batch.size() == 0) break;
-      out->stats.rows_scanned += batch.size();
-      for (int32_t i = 0; i < batch.size(); ++i) {
-        out->stats.ChargeCpuNs(cost.row_scan_ns);
-      }
-      if (vplan != nullptr) {
-        VecBatchesCounter().Add(1);
-        VecRowsCounter().Add(batch.size());
-      }
-      if (vplan != nullptr && vplan->where_ok) {
-        SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(vplan->where, batch,
-                                                &vscratch.regs, &vscratch.trunc,
-                                                &sel));
-        bctx.sel = nullptr;
-      } else {
-        SQLARRAY_RETURN_IF_ERROR(FilterBatch(q, &bctx, &keep_col, &sel));
-        if (vplan != nullptr && q.where != nullptr) {
-          VecFallbackRowsCounter().Add(batch.size());
-        }
-      }
-      if (sel.empty()) continue;
-      out->stats.rows_kept += static_cast<int64_t>(sel.size());
+      SQLARRAY_ASSIGN_OR_RETURN(bool more, scan.Next(cursor));
+      if (!more) break;
+      if (scan.sel.empty()) continue;
+      GroupAcc& group = out->groups[""];
+      group.aggs.resize(n_items);
       for (size_t i = 0; i < n_items; ++i) {
         const SelectItem& item = q.items[i];
-        AggState& st = out->states[i];
+        AggState& st = group.aggs[i];
         if (item.agg == SelectItem::AggKind::kNone) {
-          if (!out->plain_filled) {
-            std::vector<int32_t> first_sel(1, sel[0]);
-            bctx.sel = &first_sel;
-            SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, bctx, &col));
-            out->plain[i] = std::move(col[0]);
+          // Plain items evaluate once, on the first row that survives the
+          // filter — the row loop's first-kept-row semantics.
+          if (!group.plain_filled) {
+            std::vector<int32_t> first_sel(1, scan.sel[0]);
+            scan.bctx.sel = &first_sel;
+            SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, scan.bctx, &col));
+            group.plain_items.resize(n_items);
+            group.plain_items[i] = std::move(col[0]);
           }
           continue;
         }
         if (IsCountStar(item)) {
-          st.count += static_cast<int64_t>(sel.size());
+          st.count += static_cast<int64_t>(scan.sel.size());
           continue;
         }
         if (vplan != nullptr && vplan->items[i] != nullptr) {
           SQLARRAY_RETURN_IF_ERROR(
-              vplan->items[i]->Run(batch, &sel, &vscratch.regs));
-          for (size_t k = 0; k < sel.size(); ++k) {
+              vplan->items[i]->Run(scan.batch, &scan.sel, &scan.vscratch.regs));
+          for (size_t k = 0; k < scan.sel.size(); ++k) {
             out->stats.agg_steps++;
             out->stats.ChargeCpuNs(cost.native_agg_step_ns);
           }
           SQLARRAY_RETURN_IF_ERROR(VecAccumulateColumn(
-              item.agg, vplan->items[i]->Result(vscratch.regs), &st));
+              item.agg, vplan->items[i]->Result(scan.vscratch.regs), &st));
           continue;
         }
-        bctx.sel = &sel;
-        SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, bctx, &col));
+        scan.bctx.sel = &scan.sel;
+        SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, scan.bctx, &col));
         if (vplan != nullptr) {
-          VecFallbackRowsCounter().Add(static_cast<int64_t>(sel.size()));
+          VecFallbackRowsCounter().Add(static_cast<int64_t>(scan.sel.size()));
         }
         for (const Value& v : col) {
           out->stats.agg_steps++;
@@ -654,130 +896,25 @@ Status AggregateChunk(const Query& q, const CostModel& cost,
           SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
         }
       }
-      out->plain_filled = true;
+      group.plain_filled = true;
     }
     return Status::OK();
   }
 
   EvalContext ctx;
   ctx.schema = &q.table->schema();
-  ctx.variables = variables;
+  ctx.variables = env.variables;
   ctx.udf = udf;
   while (cursor.valid()) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
+    SQLARRAY_RETURN_IF_ERROR(GovCheck(env.limits()));
     ctx.row = cursor.row().data();
     out->stats.rows_scanned++;
     out->stats.ChargeCpuNs(cost.row_scan_ns);
-    bool keep_row = true;
-    if (q.where != nullptr) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value keep, Eval(*q.where, ctx));
-      SQLARRAY_ASSIGN_OR_RETURN(int64_t truthy,
-                                keep.is_null() ? Result<int64_t>(int64_t{0})
-                                               : keep.AsInt());
-      keep_row = truthy != 0;
-    }
-    if (keep_row) {
+    SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(q, ctx));
+    if (keep) {
       out->stats.rows_kept++;
-      for (size_t i = 0; i < n_items; ++i) {
-        const SelectItem& item = q.items[i];
-        AggState& st = out->states[i];
-        if (item.agg == SelectItem::AggKind::kNone) {
-          if (!out->plain_filled) {
-            SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-            out->plain[i] = std::move(v);
-          }
-          continue;
-        }
-        if (IsCountStar(item)) {
-          st.count++;
-          continue;
-        }
-        out->stats.agg_steps++;
-        out->stats.ChargeCpuNs(cost.native_agg_step_ns);
-        SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-        SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
-      }
-      out->plain_filled = true;
-    }
-    SQLARRAY_RETURN_IF_ERROR(cursor.Next());
-  }
-  return Status::OK();
-}
-
-/// Folds one morsel's rows into a partial GROUP BY hash table. Always
-/// row-at-a-time, like the serial grouped loop (group creation is
-/// inherently per-row).
-Status GroupByChunk(const Query& q, const CostModel& cost,
-                    std::map<std::string, Value>* variables,
-                    storage::BufferPool* pool,
-                    const gov::QueryLimits* limits,
-                    storage::BTree::ChunkCursor cursor,
-                    std::map<std::string, GroupAcc>* groups,
-                    QueryStats* stats) {
-  const size_t n_items = q.items.size();
-  EvalContext ctx;
-  ctx.schema = &q.table->schema();
-  ctx.variables = variables;
-  ctx.udf.pool = pool;
-  ctx.udf.stats = stats;
-  ctx.udf.cost = &cost;
-  ctx.udf.limits = limits;
-
-  while (cursor.valid()) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-    ctx.row = cursor.row().data();
-    stats->rows_scanned++;
-    stats->ChargeCpuNs(cost.row_scan_ns);
-
-    bool keep_row = true;
-    if (q.where != nullptr) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value keep, Eval(*q.where, ctx));
-      SQLARRAY_ASSIGN_OR_RETURN(int64_t truthy,
-                                keep.is_null() ? Result<int64_t>(int64_t{0})
-                                               : keep.AsInt());
-      keep_row = truthy != 0;
-    }
-    if (keep_row) {
-      stats->rows_kept++;
-      std::string key;
-      std::vector<Value> key_vals;
-      for (const ExprPtr& g : q.group_by) {
-        SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
-        AppendGroupKey(v, &key);
-        key_vals.push_back(std::move(v));
-      }
-      GroupAcc& group = (*groups)[key];
-      if (group.aggs.empty()) {
-        // The hash table is where grouped aggregation's memory actually
-        // grows: charge each fresh group's key + accumulator footprint.
-        SQLARRAY_RETURN_IF_ERROR(GovCharge(
-            limits, static_cast<int64_t>(key.size()) +
-                        static_cast<int64_t>(n_items * sizeof(AggState)) +
-                        RowFootprint(q.group_by.size())));
-        group.keys = std::move(key_vals);
-        group.aggs.resize(n_items);
-      }
-      for (size_t i = 0; i < n_items; ++i) {
-        const SelectItem& item = q.items[i];
-        AggState& st = group.aggs[i];
-        if (item.agg == SelectItem::AggKind::kNone) {
-          if (!group.plain_filled) {
-            SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-            group.plain_items.resize(n_items);
-            group.plain_items[i] = std::move(v);
-          }
-          continue;
-        }
-        if (IsCountStar(item)) {
-          st.count++;
-          continue;
-        }
-        stats->agg_steps++;
-        stats->ChargeCpuNs(cost.native_agg_step_ns);
-        SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-        SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
-      }
-      group.plain_filled = true;
+      SQLARRAY_RETURN_IF_ERROR(GroupAndFoldRow(q, cost, nullptr, env.limits(),
+                                               ctx, &out->groups));
     }
     SQLARRAY_RETURN_IF_ERROR(cursor.Next());
   }
@@ -787,88 +924,47 @@ Status GroupByChunk(const Query& q, const CostModel& cost,
 /// Folds one morsel's rows into a row-mode result buffer. TOP caps the
 /// buffer at q.top rows (no later morsel can contribute more than that to
 /// the output prefix) and keeps the early-exit row loop; otherwise the
-/// executor's batch setting applies, mirroring ExecuteRowsBatched.
-Status RowsChunk(const Query& q, const CostModel& cost,
-                 std::map<std::string, Value>* variables,
-                 storage::BufferPool* pool, int batch_rows,
-                 const gov::QueryLimits* limits, const VecQueryPlan* vplan,
-                 storage::BTree::ChunkCursor cursor,
+/// executor's batch setting applies.
+Status RowsChunk(const ScanEnv& env, storage::BTree::ChunkCursor cursor,
                  std::vector<std::vector<Value>>* rows, QueryStats* stats) {
+  const Query& q = *env.q;
+  const CostModel& cost = *env.cost;
   const size_t n_items = q.items.size();
-  UdfContext udf;
-  udf.pool = pool;
+  UdfContext udf = env.udf;
   udf.stats = stats;
-  udf.cost = &cost;
-  udf.limits = limits;
 
-  if (q.top < 0 && batch_rows > 1) {
-    RowBatch batch;
-    ByteBufferPool byte_pool;
-    EvalArena arena;
-    BatchContext bctx;
-    bctx.schema = &q.table->schema();
-    bctx.batch = &batch;
-    bctx.variables = variables;
-    bctx.udf = &udf;
-    bctx.byte_pool = &byte_pool;
-    bctx.arena = &arena;
-    std::vector<int32_t> sel;
-    std::vector<Value> keep_col;
-    VecScratch vscratch;
-    const int64_t rsz = q.table->schema().row_size();
-    SQLARRAY_RETURN_IF_ERROR(
-        GovCharge(limits, rsz * static_cast<int64_t>(batch_rows)));
-    if (vplan != nullptr) {
-      SQLARRAY_RETURN_IF_ERROR(
-          GovCharge(limits, VecPlanFootprint(*vplan, batch_rows)));
-    }
+  if (BatchedScan(q, env.batch_rows)) {
+    BatchScan scan(env, &udf);
+    SQLARRAY_RETURN_IF_ERROR(scan.Start());
+    const VecQueryPlan* vplan = env.vec();
     while (true) {
-      SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-      batch.Reset(rsz, batch_rows);
-      SQLARRAY_RETURN_IF_ERROR(FillBatchFromCursor(cursor, &batch));
-      if (batch.size() == 0) break;
-      stats->rows_scanned += batch.size();
-      for (int32_t i = 0; i < batch.size(); ++i) {
-        stats->ChargeCpuNs(cost.row_scan_ns);
-      }
-      if (vplan != nullptr) {
-        VecBatchesCounter().Add(1);
-        VecRowsCounter().Add(batch.size());
-      }
-      if (vplan != nullptr && vplan->where_ok) {
-        SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(vplan->where, batch,
-                                                &vscratch.regs, &vscratch.trunc,
-                                                &sel));
-        bctx.sel = nullptr;
-      } else {
-        SQLARRAY_RETURN_IF_ERROR(FilterBatch(q, &bctx, &keep_col, &sel));
-        if (vplan != nullptr && q.where != nullptr) {
-          VecFallbackRowsCounter().Add(batch.size());
-        }
-      }
-      if (sel.empty()) continue;
-      stats->rows_kept += static_cast<int64_t>(sel.size());
-      bctx.sel = &sel;
-      ColumnGuard guard(&arena);
+      SQLARRAY_ASSIGN_OR_RETURN(bool more, scan.Next(cursor));
+      if (!more) break;
+      if (scan.sel.empty()) continue;
+      scan.bctx.sel = &scan.sel;
+      // Evaluate every item column, then stitch output rows together.
+      ColumnGuard guard(&scan.arena);
       std::vector<std::vector<Value>*> cols;
       cols.reserve(n_items);
       for (size_t i = 0; i < n_items; ++i) {
         cols.push_back(guard.Borrow());
         if (vplan != nullptr && vplan->items[i] != nullptr) {
           SQLARRAY_RETURN_IF_ERROR(
-              vplan->items[i]->Run(batch, &sel, &vscratch.regs));
-          vec::ColumnToValues(vplan->items[i]->Result(vscratch.regs), cols[i]);
+              vplan->items[i]->Run(scan.batch, &scan.sel, &scan.vscratch.regs));
+          vec::ColumnToValues(vplan->items[i]->Result(scan.vscratch.regs),
+                              cols[i]);
           continue;
         }
-        SQLARRAY_RETURN_IF_ERROR(EvalBatch(*q.items[i].expr, bctx, cols[i]));
+        SQLARRAY_RETURN_IF_ERROR(
+            EvalBatch(*q.items[i].expr, scan.bctx, cols[i]));
         if (vplan != nullptr) {
-          VecFallbackRowsCounter().Add(static_cast<int64_t>(sel.size()));
+          VecFallbackRowsCounter().Add(static_cast<int64_t>(scan.sel.size()));
         }
       }
       SQLARRAY_RETURN_IF_ERROR(GovCharge(
-          limits,
-          static_cast<int64_t>(sel.size()) * RowFootprint(n_items)));
-      for (size_t k = 0; k < sel.size(); ++k) {
+          env.limits(),
+          static_cast<int64_t>(scan.sel.size()) * RowFootprint(n_items)));
+      for (size_t k = 0; k < scan.sel.size(); ++k) {
         std::vector<Value> row;
         row.reserve(n_items);
         for (size_t i = 0; i < n_items; ++i) {
@@ -882,26 +978,18 @@ Status RowsChunk(const Query& q, const CostModel& cost,
 
   EvalContext ctx;
   ctx.schema = &q.table->schema();
-  ctx.variables = variables;
+  ctx.variables = env.variables;
   ctx.udf = udf;
   while (cursor.valid()) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
+    SQLARRAY_RETURN_IF_ERROR(GovCheck(env.limits()));
     if (q.top >= 0 && static_cast<int64_t>(rows->size()) >= q.top) break;
     ctx.row = cursor.row().data();
     stats->rows_scanned++;
     stats->ChargeCpuNs(cost.row_scan_ns);
-
-    bool keep_row = true;
-    if (q.where != nullptr) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value keep, Eval(*q.where, ctx));
-      SQLARRAY_ASSIGN_OR_RETURN(int64_t truthy,
-                                keep.is_null() ? Result<int64_t>(int64_t{0})
-                                               : keep.AsInt());
-      keep_row = truthy != 0;
-    }
-    if (keep_row) {
+    SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(q, ctx));
+    if (keep) {
       stats->rows_kept++;
-      SQLARRAY_RETURN_IF_ERROR(GovCharge(limits, RowFootprint(n_items)));
+      SQLARRAY_RETURN_IF_ERROR(GovCharge(env.limits(), RowFootprint(n_items)));
       std::vector<Value> row;
       row.reserve(n_items);
       for (const SelectItem& item : q.items) {
@@ -947,10 +1035,10 @@ Result<ResultSet> Executor::Execute(const Query& q,
 Result<ResultSet> Executor::ExecuteInternal(
     const Query& q, std::map<std::string, Value>* variables,
     QueryContext* qctx) {
+  ResultSet rs;
+  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
   if (q.table == nullptr && q.tvf == nullptr) {
     // FROM-less SELECT: evaluate each item once.
-    ResultSet rs;
-    rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
     SQLARRAY_SPAN("exec.eval");
     std::vector<Value> row;
     for (const SelectItem& item : q.items) {
@@ -965,35 +1053,25 @@ Result<ResultSet> Executor::ExecuteInternal(
     rs.rows.push_back(std::move(row));
     return rs;
   }
-  if (HasAggregates(q) || !q.group_by.empty()) {
-    if (parallel_mode_ == ParallelMode::kStaticChunkLegacy) {
-      // The pre-morsel plan shape: ungrouped all-native aggregates only.
-      // Snapshot reads bypass it (its private per-worker pools would read
-      // the live disk, not the versioned view) and fall through to the
-      // serial path, which honors the snapshot.
-      bool parallel_ok = scan_workers_ > 1 && q.group_by.empty() &&
-                         MorselEligible(q) && SnapOf(qctx) == nullptr;
-      for (const SelectItem& item : q.items) {
-        parallel_ok = parallel_ok && item.agg != SelectItem::AggKind::kUda &&
-                      item.agg != SelectItem::AggKind::kNone;
-      }
-      if (parallel_ok) return ExecuteAggregateStaticChunk(q, variables);
-      return ExecuteAggregate(q, variables, qctx);
-    }
-    // Eligible aggregations always take the morsel plan — at 1 worker it
-    // runs inline, so results are bit-identical at every worker count.
-    if (MorselEligible(q)) {
-      if (q.group_by.empty()) {
-        return ExecuteAggregateMorsel(q, variables, qctx);
-      }
-      return ExecuteGroupByMorsel(q, variables, qctx);
-    }
-    return ExecuteAggregate(q, variables, qctx);
+  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
+  Stopwatch watch;
+  storage::IoStats io_before = db_->disk()->stats();
+  const bool aggregate = HasAggregates(q) || !q.group_by.empty();
+  // Every table query without a UDA takes the morsel pipeline (at 1 worker
+  // it runs inline, so results are bit-identical at every worker count);
+  // UDAs and TVF sources fold serially.
+  Status st;
+  if (q.table != nullptr && !HasUda(q)) {
+    st = aggregate ? ExecuteAggregateMorsel(q, variables, qctx, &rs)
+                   : ExecuteRowsMorsel(q, variables, qctx, &rs);
+  } else {
+    st = aggregate ? ExecuteAggregate(q, variables, qctx, &rs)
+                   : ExecuteRows(q, variables, qctx, &rs);
   }
-  if (parallel_mode_ == ParallelMode::kMorsel && MorselEligible(q)) {
-    return ExecuteRowsMorsel(q, variables, qctx);
-  }
-  return ExecuteRows(q, variables, qctx);
+  SQLARRAY_RETURN_IF_ERROR(st);
+  rs.stats.io = db_->disk()->stats() - io_before;
+  rs.stats.wall_seconds = watch.ElapsedSeconds();
+  return rs;
 }
 
 void Executor::BuildProfile(const Query& q, const ResultSet& rs,
@@ -1033,23 +1111,8 @@ void Executor::BuildProfile(const Query& q, const ResultSet& rs,
   // variables, and executor settings, so the tree stays deterministic at
   // every worker count. An operator reads "vectorized" when the batched
   // branch runs AND its expression compiles to a columnar program.
-  bool batched_eval = vectorized_ && batch_rows_ > 1 && q.table != nullptr;
-  if (has_agg) {
-    batched_eval = batched_eval && q.group_by.empty() && CanBatchAggregate(q);
-    if (parallel_mode_ == ParallelMode::kStaticChunkLegacy) {
-      // The legacy static-chunk plan captures eligible ungrouped all-native
-      // aggregations ahead of the batched path and stays row-mode.
-      bool legacy_ok =
-          scan_workers_ > 1 && q.group_by.empty() && MorselEligible(q);
-      for (const SelectItem& item : q.items) {
-        legacy_ok = legacy_ok && item.agg != SelectItem::AggKind::kUda &&
-                    item.agg != SelectItem::AggKind::kNone;
-      }
-      batched_eval = batched_eval && !legacy_ok;
-    }
-  } else {
-    batched_eval = batched_eval && q.top < 0;
-  }
+  const bool batched_eval = vectorized_ && q.table != nullptr && !HasUda(q) &&
+                            BatchedScan(q, batch_rows_);
 
   obs::ProfileNode* parent = root;
   if (!from_less) {
@@ -1135,49 +1198,19 @@ void Executor::BuildProfile(const Query& q, const ResultSet& rs,
   }
 }
 
-bool Executor::MorselEligible(const Query& q) const {
-  if (q.table == nullptr) return false;
-  for (const SelectItem& item : q.items) {
-    // UDA state marshaling is inherently serial (and order-sensitive).
-    if (item.agg == SelectItem::AggKind::kUda) return false;
-  }
-  // Reader-style UDFs re-enter the session through the subquery runner;
-  // any query calling one stays on the serial path.
-  return !QueryHasBoundCall(
-      q, [](const ScalarFunction& f) { return f.needs_subquery; });
-}
-
-Result<ResultSet> Executor::ExecuteAggregate(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx) {
-  if (batch_rows_ > 1 && CanBatchAggregate(q)) {
-    return ExecuteAggregateBatched(q, variables, qctx);
-  }
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
+Status Executor::ExecuteAggregate(const Query& q,
+                                  std::map<std::string, Value>* variables,
+                                  QueryContext* qctx, ResultSet* rs) {
   SQLARRAY_SPAN("exec.scan");
-  storage::IoStats io_before = db_->disk()->stats();
-
-  // Validate: plain items must appear in GROUP BY position-wise (we accept
-  // any plain expression and evaluate it per group via the first row seen).
-  for (const SelectItem& item : q.items) {
-    rs.columns.push_back(item.label);
-  }
-
   const gov::QueryLimits* limits = qctx != nullptr ? &qctx->limits : nullptr;
   EvalContext ctx;
   ctx.schema = q.table != nullptr ? &q.table->schema() : nullptr;
   ctx.variables = variables;
   ctx.udf.pool = db_->buffer_pool();
   ctx.udf.subquery = subquery_fn_;
-  ctx.udf.stats = &rs.stats;
+  ctx.udf.stats = &rs->stats;
   ctx.udf.cost = &cost_;
   ctx.udf.limits = limits;
-
-  std::map<std::string, GroupAcc> groups;
-  // Aggregate-free GROUP BY still needs agg slots sized to items.
-  const size_t n_items = q.items.size();
 
   // Row source: clustered index scan or materialized TVF output.
   std::vector<std::vector<Value>> tvf_rows;
@@ -1186,7 +1219,7 @@ Result<ResultSet> Executor::ExecuteAggregate(
   bool first_row = true;
   if (q.tvf != nullptr) {
     SQLARRAY_ASSIGN_OR_RETURN(tvf_rows,
-                              MaterializeTvf(q, variables, &rs.stats));
+                              MaterializeTvf(q, variables, &rs->stats));
   } else {
     SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::Cursor c,
                               q.table->Scan(SnapOf(qctx)));
@@ -1205,491 +1238,56 @@ Result<ResultSet> Executor::ExecuteAggregate(
     return true;
   };
 
+  std::map<std::string, GroupAcc> groups;
   while (true) {
     SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
     SQLARRAY_ASSIGN_OR_RETURN(bool has_row, next_row(&ctx));
     if (!has_row) break;
-    rs.stats.rows_scanned++;
-    rs.stats.ChargeCpuNs(cost_.row_scan_ns);
-
-    if (q.where != nullptr) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value keep, Eval(*q.where, ctx));
-      SQLARRAY_ASSIGN_OR_RETURN(int64_t truthy,
-                                keep.is_null() ? Result<int64_t>(int64_t{0})
-                                               : keep.AsInt());
-      if (truthy == 0) {
-        continue;
-      }
-    }
-    rs.stats.rows_kept++;
-
-    // Group key.
-    std::string key;
-    std::vector<Value> key_vals;
-    for (const ExprPtr& g : q.group_by) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
-      AppendGroupKey(v, &key);
-      key_vals.push_back(std::move(v));
-    }
-    GroupAcc& group = groups[key];
-    if (group.aggs.empty()) {
-      SQLARRAY_RETURN_IF_ERROR(GovCharge(
-          limits, static_cast<int64_t>(key.size()) +
-                      static_cast<int64_t>(n_items * sizeof(AggState)) +
-                      RowFootprint(q.group_by.size())));
-      group.keys = std::move(key_vals);
-      group.aggs.resize(n_items);
-    }
-
-    for (size_t i = 0; i < n_items; ++i) {
-      const SelectItem& item = q.items[i];
-      AggState& st = group.aggs[i];
-      switch (item.agg) {
-        case SelectItem::AggKind::kNone: {
-          if (!group.plain_filled) {
-            SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-            group.plain_items.resize(n_items);
-            group.plain_items[i] = std::move(v);
-          }
-          break;
-        }
-        case SelectItem::AggKind::kCount: {
-          // COUNT(*) is a bare increment folded into the row-scan cost;
-          // COUNT(expr) pays the evaluation step.
-          if (IsCountStar(item)) {
-            st.count++;
-            break;
-          }
-          [[fallthrough]];
-        }
-        case SelectItem::AggKind::kSum:
-        case SelectItem::AggKind::kMin:
-        case SelectItem::AggKind::kMax:
-        case SelectItem::AggKind::kAvg: {
-          rs.stats.agg_steps++;
-          rs.stats.ChargeCpuNs(cost_.native_agg_step_ns);
-          SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-          SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
-          break;
-        }
-        case SelectItem::AggKind::kUda: {
-          if (st.uda == nullptr) {
-            SQLARRAY_ASSIGN_OR_RETURN(
-                const UdaFactory* factory,
-                registry_->ResolveUda(item.uda_schema, item.uda_name));
-            st.uda = (*factory)();
-            std::vector<Value> init_args;
-            for (const ExprPtr& a : item.uda_args) {
-              SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*a, ctx));
-              init_args.push_back(std::move(v));
-            }
-            SQLARRAY_ASSIGN_OR_RETURN(st.uda_state,
-                                      st.uda->Init(init_args, ctx.udf));
-          }
-          std::vector<Value> row_args;
-          for (const ExprPtr& a : item.uda_args) {
-            SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*a, ctx));
-            row_args.push_back(std::move(v));
-          }
-          // SQL Server's hosting contract: the state crosses the CLR
-          // boundary (deserialize + serialize) on EVERY row (Sec. 4.2).
-          int64_t state_bytes = static_cast<int64_t>(st.uda_state.size());
-          rs.stats.uda_state_bytes += 2 * state_bytes;
-          rs.stats.udf_calls++;
-          double uda_charge_ns = cost_.clr_call_ns +
-                                 2.0 * cost_.uda_state_byte_ns *
-                                     static_cast<double>(state_bytes);
-          rs.stats.ChargeCpuNs(uda_charge_ns);
-          if (rs.stats.track_udf_detail) {
-            QueryStats::UdfFnStats& d =
-                rs.stats.udf_by_fn[item.uda_schema + "." + item.uda_name];
-            d.calls++;
-            d.bytes += 2 * state_bytes;
-            d.cpu_ns += uda_charge_ns;
-          }
-          SQLARRAY_ASSIGN_OR_RETURN(
-              st.uda_state,
-              st.uda->Accumulate(st.uda_state, row_args, ctx.udf));
-          break;
-        }
-      }
-    }
-    group.plain_filled = true;
-  }
-
-  // Aggregate-only queries over empty inputs still yield one row.
-  if (groups.empty() && q.group_by.empty()) {
-    GroupAcc g;
-    g.aggs.resize(n_items);
-    groups.emplace("", std::move(g));
-  }
-
-  for (auto& [key, group] : groups) {
-    (void)key;
-    std::vector<Value> row;
-    for (size_t i = 0; i < n_items; ++i) {
-      const SelectItem& item = q.items[i];
-      AggState& st = group.aggs[i];
-      switch (item.agg) {
-        case SelectItem::AggKind::kNone:
-          row.push_back(i < group.plain_items.size() ? group.plain_items[i]
-                                                     : Value::Null());
-          break;
-        case SelectItem::AggKind::kUda: {
-          if (st.uda == nullptr) {
-            row.push_back(Value::Null());
-            break;
-          }
-          SQLARRAY_ASSIGN_OR_RETURN(Value v,
-                                    st.uda->Terminate(st.uda_state, ctx.udf));
-          row.push_back(std::move(v));
-          break;
-        }
-        default: {
-          SQLARRAY_ASSIGN_OR_RETURN(Value v, FinishNative(item.agg, st));
-          row.push_back(std::move(v));
-          break;
-        }
-      }
-    }
-    rs.rows.push_back(std::move(row));
-  }
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
-}
-
-
-Result<ResultSet> Executor::ExecuteAggregateBatched(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx) {
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
-  SQLARRAY_SPAN("exec.scan");
-  storage::IoStats io_before = db_->disk()->stats();
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-  const size_t n_items = q.items.size();
-
-  const gov::QueryLimits* limits = qctx != nullptr ? &qctx->limits : nullptr;
-  UdfContext udf;
-  udf.pool = db_->buffer_pool();
-  udf.subquery = subquery_fn_;
-  udf.stats = &rs.stats;
-  udf.cost = &cost_;
-  udf.limits = limits;
-
-  std::vector<AggState> states(n_items);
-  std::vector<Value> plain_items(n_items);
-  bool plain_filled = false;
-
-  SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::Cursor cursor,
-                            q.table->Scan(SnapOf(qctx)));
-
-  RowBatch batch;
-  ByteBufferPool byte_pool;
-  EvalArena arena;
-  BatchContext bctx;
-  bctx.schema = &q.table->schema();
-  bctx.batch = &batch;
-  bctx.variables = variables;
-  bctx.udf = &udf;
-  bctx.byte_pool = &byte_pool;
-  bctx.arena = &arena;
-
-  std::vector<int32_t> sel;
-  std::vector<Value> keep_col, col;
-  VecScratch vscratch;
-  const int64_t rsz = q.table->schema().row_size();
-
-  VecQueryPlan vplan_store;
-  const VecQueryPlan* vplan = nullptr;
-  if (vectorized_) {
-    vplan_store = BuildVecPlan(q, variables, /*rows_mode=*/false);
-    if (vplan_store.any) vplan = &vplan_store;
-  }
-
-  SQLARRAY_RETURN_IF_ERROR(
-      GovCharge(limits, rsz * static_cast<int64_t>(batch_rows_)));
-  if (vplan != nullptr) {
+    rs->stats.rows_scanned++;
+    rs->stats.ChargeCpuNs(cost_.row_scan_ns);
+    SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(q, ctx));
+    if (!keep) continue;
+    rs->stats.rows_kept++;
     SQLARRAY_RETURN_IF_ERROR(
-        GovCharge(limits, VecPlanFootprint(*vplan, batch_rows_)));
+        GroupAndFoldRow(q, cost_, registry_, limits, ctx, &groups));
   }
-  while (true) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-    batch.Reset(rsz, batch_rows_);
-    SQLARRAY_RETURN_IF_ERROR(FillBatchFromCursor(cursor, &batch));
-    if (batch.size() == 0) break;
-    rs.stats.rows_scanned += batch.size();
-    for (int32_t i = 0; i < batch.size(); ++i) {
-      rs.stats.ChargeCpuNs(cost_.row_scan_ns);
-    }
-
-    if (vplan != nullptr) {
-      VecBatchesCounter().Add(1);
-      VecRowsCounter().Add(batch.size());
-    }
-    if (vplan != nullptr && vplan->where_ok) {
-      SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(
-          vplan->where, batch, &vscratch.regs, &vscratch.trunc, &sel));
-      bctx.sel = nullptr;
-    } else {
-      SQLARRAY_RETURN_IF_ERROR(FilterBatch(q, &bctx, &keep_col, &sel));
-      if (vplan != nullptr && q.where != nullptr) {
-        VecFallbackRowsCounter().Add(batch.size());
-      }
-    }
-    if (sel.empty()) continue;
-    rs.stats.rows_kept += static_cast<int64_t>(sel.size());
-
-    for (size_t i = 0; i < n_items; ++i) {
-      const SelectItem& item = q.items[i];
-      AggState& st = states[i];
-      if (item.agg == SelectItem::AggKind::kNone) {
-        // Plain items evaluate once, on the first row that survives the
-        // filter — same as the row loop's first-kept-row semantics.
-        if (!plain_filled) {
-          std::vector<int32_t> first_sel(1, sel[0]);
-          bctx.sel = &first_sel;
-          SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, bctx, &col));
-          plain_items[i] = std::move(col[0]);
-        }
-        continue;
-      }
-      if (IsCountStar(item)) {
-        st.count += static_cast<int64_t>(sel.size());
-        continue;
-      }
-      if (vplan != nullptr && vplan->items[i] != nullptr) {
-        SQLARRAY_RETURN_IF_ERROR(
-            vplan->items[i]->Run(batch, &sel, &vscratch.regs));
-        for (size_t k = 0; k < sel.size(); ++k) {
-          rs.stats.agg_steps++;
-          rs.stats.ChargeCpuNs(cost_.native_agg_step_ns);
-        }
-        SQLARRAY_RETURN_IF_ERROR(VecAccumulateColumn(
-            item.agg, vplan->items[i]->Result(vscratch.regs), &st));
-        continue;
-      }
-      bctx.sel = &sel;
-      SQLARRAY_RETURN_IF_ERROR(EvalBatch(*item.expr, bctx, &col));
-      if (vplan != nullptr) {
-        VecFallbackRowsCounter().Add(static_cast<int64_t>(sel.size()));
-      }
-      for (const Value& v : col) {
-        rs.stats.agg_steps++;
-        rs.stats.ChargeCpuNs(cost_.native_agg_step_ns);
-        SQLARRAY_RETURN_IF_ERROR(AccumulateNative(item.agg, v, &st));
-      }
-    }
-    plain_filled = true;
-  }
-
-  std::vector<Value> row;
-  for (size_t i = 0; i < n_items; ++i) {
-    const SelectItem& item = q.items[i];
-    if (item.agg == SelectItem::AggKind::kNone) {
-      row.push_back(plain_filled ? plain_items[i] : Value::Null());
-      continue;
-    }
-    SQLARRAY_ASSIGN_OR_RETURN(Value v, FinishNative(item.agg, states[i]));
-    row.push_back(std::move(v));
-  }
-  rs.rows.push_back(std::move(row));
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
+  return EmitGroups(q, &groups, ctx.udf, rs);
 }
 
-// Retained only as ParallelMode::kStaticChunkLegacy, the bench baseline the
-// morsel scheduler is measured against: fresh threads per query, one static
-// leaf-chain chunk per worker, private per-worker buffer pools.
-Result<ResultSet> Executor::ExecuteAggregateStaticChunk(
-    const Query& q, std::map<std::string, Value>* variables) {
-  ResultSet rs;
-  Stopwatch watch;
-  storage::IoStats io_before = db_->disk()->stats();
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-  const size_t n_items = q.items.size();
+Status Executor::ExecuteRows(const Query& q,
+                             std::map<std::string, Value>* variables,
+                             QueryContext* qctx, ResultSet* rs) {
+  SQLARRAY_SPAN("exec.scan");
+  const gov::QueryLimits* limits = qctx != nullptr ? &qctx->limits : nullptr;
+  EvalContext ctx;
+  ctx.variables = variables;
+  ctx.udf.pool = db_->buffer_pool();
+  ctx.udf.subquery = subquery_fn_;
+  ctx.udf.stats = &rs->stats;
+  ctx.udf.cost = &cost_;
+  ctx.udf.limits = limits;
 
-  SQLARRAY_ASSIGN_OR_RETURN(std::vector<storage::PageId> pages,
-                            q.table->CollectLeafPages());
-  const int workers = std::max(
-      1, std::min<int>(scan_workers_, static_cast<int>(pages.size())));
-
-  struct WorkerResult {
-    std::vector<AggState> states;
-    QueryStats stats;
-    Status status;
-  };
-  std::vector<WorkerResult> results(workers);
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-
-  for (int w = 0; w < workers; ++w) {
-    // Contiguous chunk of the leaf chain for this worker.
-    size_t begin = pages.size() * w / workers;
-    size_t end = pages.size() * (w + 1) / workers;
-    std::vector<storage::PageId> chunk(pages.begin() + begin,
-                                       pages.begin() + end);
-    threads.emplace_back([this, &q, variables, &results, w,
-                          chunk = std::move(chunk), n_items]() mutable {
-      WorkerResult& out = results[w];
-      out.states.resize(n_items);
-      // One read-ahead stream per worker: a private buffer pool over the
-      // shared (thread-safe) disk.
-      storage::BufferPool pool(db_->disk(), 1024);
-
-      EvalContext ctx;
-      ctx.schema = &q.table->schema();
-      ctx.variables = variables;
-      ctx.udf.pool = &pool;
-      ctx.udf.stats = &out.stats;
-      ctx.udf.cost = &cost_;
-      ctx.udf.subquery = nullptr;  // reader UDFs are not parallel-eligible
-
-      auto cursor_or = q.table->ScanChunk(&pool, std::move(chunk));
-      if (!cursor_or.ok()) {
-        out.status = cursor_or.status();
-        return;
-      }
-      storage::BTree::ChunkCursor cursor = std::move(cursor_or).value();
-
-      if (batch_rows_ > 1) {
-        // Batched worker: gather a block of rows, filter it, then fold each
-        // aggregate column-wise (same accumulation order as the row loop).
-        RowBatch batch;
-        ByteBufferPool byte_pool;
-        EvalArena arena;
-        BatchContext bctx;
-        bctx.schema = &q.table->schema();
-        bctx.batch = &batch;
-        bctx.variables = variables;
-        bctx.udf = &ctx.udf;
-        bctx.byte_pool = &byte_pool;
-        bctx.arena = &arena;
-        std::vector<int32_t> sel;
-        std::vector<Value> keep_col, col;
-        const int64_t rsz = q.table->schema().row_size();
-        while (true) {
-          batch.Reset(rsz, batch_rows_);
-          Status fill = FillBatchFromCursor(cursor, &batch);
-          if (!fill.ok()) {
-            out.status = fill;
-            return;
-          }
-          if (batch.size() == 0) break;
-          out.stats.rows_scanned += batch.size();
-          for (int32_t i = 0; i < batch.size(); ++i) {
-            out.stats.ChargeCpuNs(cost_.row_scan_ns);
-          }
-          Status fst = FilterBatch(q, &bctx, &keep_col, &sel);
-          if (!fst.ok()) {
-            out.status = fst;
-            return;
-          }
-          if (sel.empty()) continue;
-          bctx.sel = &sel;
-          for (size_t i = 0; i < n_items; ++i) {
-            const SelectItem& item = q.items[i];
-            AggState& st = out.states[i];
-            if (IsCountStar(item)) {
-              st.count += static_cast<int64_t>(sel.size());
-              continue;
-            }
-            Status est = EvalBatch(*item.expr, bctx, &col);
-            if (!est.ok()) {
-              out.status = est;
-              return;
-            }
-            for (const Value& v : col) {
-              out.stats.ChargeCpuNs(cost_.native_agg_step_ns);
-              Status ast = AccumulateNative(item.agg, v, &st);
-              if (!ast.ok()) {
-                out.status = ast;
-                return;
-              }
-            }
-          }
-        }
-        return;
-      }
-
-      while (cursor.valid()) {
-        ctx.row = cursor.row().data();
-        out.stats.rows_scanned++;
-        out.stats.ChargeCpuNs(cost_.row_scan_ns);
-
-        bool keep_row = true;
-        if (q.where != nullptr) {
-          auto keep = Eval(*q.where, ctx);
-          if (!keep.ok()) {
-            out.status = keep.status();
-            return;
-          }
-          auto truthy = keep->is_null() ? Result<int64_t>(int64_t{0})
-                                        : keep->AsInt();
-          if (!truthy.ok()) {
-            out.status = truthy.status();
-            return;
-          }
-          keep_row = *truthy != 0;
-        }
-        if (keep_row) {
-          for (size_t i = 0; i < n_items; ++i) {
-            const SelectItem& item = q.items[i];
-            AggState& st = out.states[i];
-            if (IsCountStar(item)) {
-              st.count++;
-              continue;
-            }
-            out.stats.ChargeCpuNs(cost_.native_agg_step_ns);
-            auto v = Eval(*item.expr, ctx);
-            if (!v.ok()) {
-              out.status = v.status();
-              return;
-            }
-            Status ast = AccumulateNative(item.agg, *v, &st);
-            if (!ast.ok()) {
-              out.status = ast;
-              return;
-            }
-          }
-        }
-        Status st = cursor.Next();
-        if (!st.ok()) {
-          out.status = st;
-          return;
-        }
-      }
-    });
+  SQLARRAY_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> tvf_rows,
+                            MaterializeTvf(q, variables, &rs->stats));
+  for (const std::vector<Value>& tvf_row : tvf_rows) {
+    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
+    if (q.top >= 0 && static_cast<int64_t>(rs->rows.size()) >= q.top) break;
+    ctx.value_row = &tvf_row;
+    rs->stats.rows_scanned++;
+    rs->stats.ChargeCpuNs(cost_.row_scan_ns);
+    SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(q, ctx));
+    if (!keep) continue;
+    rs->stats.rows_kept++;
+    SQLARRAY_RETURN_IF_ERROR(GovCharge(limits, RowFootprint(q.items.size())));
+    std::vector<Value> row;
+    row.reserve(q.items.size());
+    for (const SelectItem& item : q.items) {
+      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
+      row.push_back(std::move(v));
+    }
+    rs->rows.push_back(std::move(row));
   }
-  for (std::thread& t : threads) t.join();
-
-  // Merge partials (and surface the first worker error).
-  std::vector<AggState> merged(n_items);
-  for (WorkerResult& wr : results) {
-    SQLARRAY_RETURN_IF_ERROR(wr.status);
-    for (size_t i = 0; i < n_items; ++i) merged[i].Merge(wr.states[i]);
-    rs.stats.rows_scanned += wr.stats.rows_scanned;
-    rs.stats.udf_calls += wr.stats.udf_calls;
-    rs.stats.udf_bytes_marshaled += wr.stats.udf_bytes_marshaled;
-    rs.stats.cpu_core_seconds += wr.stats.cpu_core_seconds;
-  }
-
-  std::vector<Value> row;
-  for (size_t i = 0; i < n_items; ++i) {
-    const SelectItem& item = q.items[i];
-    SQLARRAY_ASSIGN_OR_RETURN(Value v, FinishNative(item.agg, merged[i]));
-    row.push_back(std::move(v));
-  }
-  rs.rows.push_back(std::move(row));
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
+  return Status::OK();
 }
 
 void Executor::RunOnWorkers(int workers, const std::function<void(int)>& fn) {
@@ -1706,17 +1304,43 @@ void Executor::RunOnWorkers(int workers, const std::function<void(int)>& fn) {
   worker_pool_->Run(workers, fn);
 }
 
+Result<ScanEnv> Executor::PlanScan(const Query& q,
+                                   std::map<std::string, Value>* variables,
+                                   QueryContext* qctx) {
+  ScanEnv env;
+  env.q = &q;
+  env.cost = &cost_;
+  env.variables = variables;
+  env.udf.pool = db_->buffer_pool();
+  env.udf.cost = &cost_;
+  env.udf.subquery = subquery_fn_;
+  env.udf.limits = qctx != nullptr ? &qctx->limits : nullptr;
+  env.snap = SnapOf(qctx);
+  env.batch_rows = batch_rows_;
+  SQLARRAY_ASSIGN_OR_RETURN(
+      env.plan,
+      PlanMorselScan(q, scan_workers_, min_pages_per_worker_, env.snap));
+  // One compiled columnar plan per statement, shared read-only by every
+  // morsel worker (each worker owns its register scratch), built only when
+  // the batched branch can run.
+  if (vectorized_ && BatchedScan(q, batch_rows_)) {
+    env.vplan = BuildVecPlan(q, variables, /*rows_mode=*/!HasAggregates(q));
+  }
+  return env;
+}
+
 Status Executor::RunMorselScan(
-    size_t n_pages, size_t morsel_pages, int workers, QueryContext* qctx,
+    const ScanEnv& env, QueryContext* qctx,
     const std::function<Status(const Morsel&)>& body) {
-  MorselQueue queue(n_pages, morsel_pages, workers);
+  MorselQueue queue(env.plan.pages.size(), env.plan.morsel_pages,
+                    env.plan.workers);
   if (queue.morsel_count() == 0) return Status::OK();
   std::vector<Status> morsel_status(queue.morsel_count());
   std::atomic<bool> abort{false};
   obs::TraceSink* trace = qctx != nullptr ? &qctx->trace : nullptr;
   const gov::QueryLimits* limits =
       qctx != nullptr && qctx->limits.governed() ? &qctx->limits : nullptr;
-  RunOnWorkers(workers, [&](int w) {
+  RunOnWorkers(env.plan.workers, [&](int w) {
     // Pool workers inherit the statement's governance for the scan so deep
     // kernels (CheckThreadCancel) see it without parameter plumbing.
     gov::ScopedThreadLimits thread_limits(limits);
@@ -1751,191 +1375,56 @@ Status Executor::RunMorselScan(
   return Status::OK();
 }
 
-Result<ResultSet> Executor::ExecuteAggregateMorsel(
+Status Executor::ExecuteAggregateMorsel(
     const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx) {
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
-  storage::IoStats io_before = db_->disk()->stats();
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-  const size_t n_items = q.items.size();
-  const bool udf_detail = rs.stats.track_udf_detail;
-
-  SQLARRAY_ASSIGN_OR_RETURN(
-      MorselPlanInfo plan,
-      PlanMorselScan(q, scan_workers_, min_pages_per_worker_, SnapOf(qctx)));
-  std::vector<AggPartial> partials(plan.n_morsels);
-
-  // One compiled columnar plan per statement, shared read-only by every
-  // morsel worker (each worker owns its register scratch).
-  VecQueryPlan vplan_store;
-  const VecQueryPlan* vplan = nullptr;
-  if (vectorized_ && batch_rows_ > 1) {
-    vplan_store = BuildVecPlan(q, variables, /*rows_mode=*/false);
-    if (vplan_store.any) vplan = &vplan_store;
-  }
-
-  SQLARRAY_RETURN_IF_ERROR(RunMorselScan(
-      plan.pages.size(), plan.morsel_pages, plan.workers, qctx,
-      [&](const Morsel& m) -> Status {
-        std::vector<storage::PageId> chunk(plan.pages.begin() + m.page_begin,
-                                           plan.pages.begin() + m.page_end);
-        SQLARRAY_ASSIGN_OR_RETURN(
-            storage::BTree::ChunkCursor cursor,
-            SnapOf(qctx) != nullptr
-                ? q.table->ScanChunk(SnapOf(qctx), std::move(chunk))
-                : q.table->ScanChunk(db_->buffer_pool(), std::move(chunk),
-                                     kMorselReadahead));
-        return AggregateChunk(q, cost_, variables, db_->buffer_pool(),
-                              batch_rows_, udf_detail,
-                              qctx != nullptr ? &qctx->limits : nullptr, vplan,
-                              std::move(cursor), &partials[m.index]);
-      }));
-
-  // Fold partials in morsel-index order — the deterministic merge that
-  // makes results (float sums included) independent of the worker count.
-  SQLARRAY_SPAN("exec.merge");
-  std::vector<AggState> merged(n_items);
-  std::vector<Value> plain(n_items);
-  bool plain_filled = false;
+    QueryContext* qctx, ResultSet* rs) {
+  SQLARRAY_ASSIGN_OR_RETURN(ScanEnv env, PlanScan(q, variables, qctx));
+  std::vector<AggPartial> partials(env.plan.n_morsels);
   for (AggPartial& p : partials) {
-    if (p.states.size() == n_items) {
-      for (size_t i = 0; i < n_items; ++i) merged[i].Merge(p.states[i]);
-    }
-    if (!plain_filled && p.plain_filled) {
-      plain = std::move(p.plain);
-      plain_filled = true;
-    }
-    MergeStats(&rs.stats, p.stats);
+    p.stats.track_udf_detail = rs->stats.track_udf_detail;
   }
-
-  std::vector<Value> row;
-  for (size_t i = 0; i < n_items; ++i) {
-    const SelectItem& item = q.items[i];
-    if (item.agg == SelectItem::AggKind::kNone) {
-      row.push_back(plain_filled ? std::move(plain[i]) : Value::Null());
-      continue;
-    }
-    SQLARRAY_ASSIGN_OR_RETURN(Value v, FinishNative(item.agg, merged[i]));
-    row.push_back(std::move(v));
-  }
-  rs.rows.push_back(std::move(row));
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
-}
-
-Result<ResultSet> Executor::ExecuteGroupByMorsel(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx) {
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
-  storage::IoStats io_before = db_->disk()->stats();
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-  const size_t n_items = q.items.size();
-
-  SQLARRAY_ASSIGN_OR_RETURN(
-      MorselPlanInfo plan,
-      PlanMorselScan(q, scan_workers_, min_pages_per_worker_, SnapOf(qctx)));
-  struct GroupPartial {
-    std::map<std::string, GroupAcc> groups;
-    QueryStats stats;
-  };
-  std::vector<GroupPartial> partials(plan.n_morsels);
-  for (GroupPartial& p : partials) {
-    p.stats.track_udf_detail = rs.stats.track_udf_detail;
-  }
-
-  SQLARRAY_RETURN_IF_ERROR(RunMorselScan(
-      plan.pages.size(), plan.morsel_pages, plan.workers, qctx,
-      [&](const Morsel& m) -> Status {
-        std::vector<storage::PageId> chunk(plan.pages.begin() + m.page_begin,
-                                           plan.pages.begin() + m.page_end);
-        SQLARRAY_ASSIGN_OR_RETURN(
-            storage::BTree::ChunkCursor cursor,
-            SnapOf(qctx) != nullptr
-                ? q.table->ScanChunk(SnapOf(qctx), std::move(chunk))
-                : q.table->ScanChunk(db_->buffer_pool(), std::move(chunk),
-                                     kMorselReadahead));
-        return GroupByChunk(q, cost_, variables, db_->buffer_pool(),
-                            qctx != nullptr ? &qctx->limits : nullptr,
-                            std::move(cursor), &partials[m.index].groups,
-                            &partials[m.index].stats);
+  SQLARRAY_RETURN_IF_ERROR(
+      RunMorselScan(env, qctx, [&](const Morsel& m) -> Status {
+        SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::ChunkCursor cursor,
+                                  OpenMorsel(env, m));
+        return AggregateChunk(env, std::move(cursor), &partials[m.index]);
       }));
 
-  // Merge the per-morsel partial hash tables in morsel-index order. The
-  // final std::map iterates groups in serialized-key order — exactly the
-  // serial path's output order.
+  // Merge the per-morsel partial groups in morsel-index order — the
+  // deterministic merge that makes results (float sums included)
+  // independent of the worker count. A group first seen in a morsel keeps
+  // that morsel's plain items (the earliest row's values); the final
+  // std::map iterates groups in serialized-key order.
   SQLARRAY_SPAN("exec.merge");
+  const size_t n_items = q.items.size();
   std::map<std::string, GroupAcc> groups;
-  for (GroupPartial& p : partials) {
+  for (AggPartial& p : partials) {
     for (auto& [key, g] : p.groups) {
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        groups.emplace(key, std::move(g));
-        continue;
-      }
+      auto [it, fresh] = groups.try_emplace(key, std::move(g));
+      if (fresh) continue;
       for (size_t i = 0; i < n_items; ++i) {
         it->second.aggs[i].Merge(g.aggs[i]);
       }
-      // Plain items keep the lowest-morsel (earliest-row) values.
     }
-    MergeStats(&rs.stats, p.stats);
+    MergeStats(&rs->stats, p.stats);
   }
-
-  for (auto& [key, group] : groups) {
-    (void)key;
-    std::vector<Value> row;
-    for (size_t i = 0; i < n_items; ++i) {
-      const SelectItem& item = q.items[i];
-      if (item.agg == SelectItem::AggKind::kNone) {
-        row.push_back(i < group.plain_items.size()
-                          ? std::move(group.plain_items[i])
-                          : Value::Null());
-        continue;
-      }
-      SQLARRAY_ASSIGN_OR_RETURN(Value v, FinishNative(item.agg, group.aggs[i]));
-      row.push_back(std::move(v));
-    }
-    rs.rows.push_back(std::move(row));
-  }
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
+  UdfContext udf = env.udf;
+  udf.stats = &rs->stats;
+  return EmitGroups(q, &groups, udf, rs);
 }
 
-Result<ResultSet> Executor::ExecuteRowsMorsel(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx) {
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
-  storage::IoStats io_before = db_->disk()->stats();
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-
-  SQLARRAY_ASSIGN_OR_RETURN(
-      MorselPlanInfo plan,
-      PlanMorselScan(q, scan_workers_, min_pages_per_worker_, SnapOf(qctx)));
+Status Executor::ExecuteRowsMorsel(const Query& q,
+                                   std::map<std::string, Value>* variables,
+                                   QueryContext* qctx, ResultSet* rs) {
+  SQLARRAY_ASSIGN_OR_RETURN(ScanEnv env, PlanScan(q, variables, qctx));
   struct RowsPartial {
     std::vector<std::vector<Value>> rows;
     QueryStats stats;
   };
-  std::vector<RowsPartial> partials(plan.n_morsels);
+  const size_t n_morsels = env.plan.n_morsels;
+  std::vector<RowsPartial> partials(n_morsels);
   for (RowsPartial& p : partials) {
-    p.stats.track_udf_detail = rs.stats.track_udf_detail;
-  }
-
-  // TOP queries stay on the early-exit row loop, so the columnar plan only
-  // builds when the batched branch of RowsChunk can actually run.
-  VecQueryPlan vplan_store;
-  const VecQueryPlan* vplan = nullptr;
-  if (vectorized_ && batch_rows_ > 1 && q.top < 0) {
-    vplan_store = BuildVecPlan(q, variables, /*rows_mode=*/true);
-    if (vplan_store.any) vplan = &vplan_store;
+    p.stats.track_udf_detail = rs->stats.track_udf_detail;
   }
 
   // TOP short-circuit token: `frontier` counts consecutive completed
@@ -1944,257 +1433,45 @@ Result<ResultSet> Executor::ExecuteRowsMorsel(
   // f <= m then, so the first `top` output rows all come from morsels
   // before m and m's buffer can never reach the output.
   std::mutex top_mu;
-  std::vector<int64_t> morsel_rows(plan.n_morsels, -1);
+  std::vector<int64_t> morsel_rows(n_morsels, -1);
   size_t frontier = 0;
   std::atomic<int64_t> prefix_rows{0};
   auto mark_done = [&](size_t index, int64_t rows) {
     if (q.top < 0) return;
     std::lock_guard<std::mutex> lock(top_mu);
     morsel_rows[index] = rows;
-    while (frontier < plan.n_morsels && morsel_rows[frontier] >= 0) {
+    while (frontier < n_morsels && morsel_rows[frontier] >= 0) {
       prefix_rows.fetch_add(morsel_rows[frontier], std::memory_order_relaxed);
       ++frontier;
     }
   };
 
-  SQLARRAY_RETURN_IF_ERROR(RunMorselScan(
-      plan.pages.size(), plan.morsel_pages, plan.workers, qctx,
-      [&](const Morsel& m) -> Status {
+  SQLARRAY_RETURN_IF_ERROR(
+      RunMorselScan(env, qctx, [&](const Morsel& m) -> Status {
         RowsPartial& out = partials[m.index];
         if (q.top >= 0 &&
             prefix_rows.load(std::memory_order_relaxed) >= q.top) {
           mark_done(m.index, 0);  // skipped: cannot reach the output prefix
           return Status::OK();
         }
-        std::vector<storage::PageId> chunk(plan.pages.begin() + m.page_begin,
-                                           plan.pages.begin() + m.page_end);
-        SQLARRAY_ASSIGN_OR_RETURN(
-            storage::BTree::ChunkCursor cursor,
-            SnapOf(qctx) != nullptr
-                ? q.table->ScanChunk(SnapOf(qctx), std::move(chunk))
-                : q.table->ScanChunk(db_->buffer_pool(), std::move(chunk),
-                                     kMorselReadahead));
-        Status st = RowsChunk(q, cost_, variables, db_->buffer_pool(),
-                              batch_rows_,
-                              qctx != nullptr ? &qctx->limits : nullptr, vplan,
-                              std::move(cursor), &out.rows, &out.stats);
-        if (st.ok()) {
-          mark_done(m.index, static_cast<int64_t>(out.rows.size()));
-        }
-        return st;
+        SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::ChunkCursor cursor,
+                                  OpenMorsel(env, m));
+        SQLARRAY_RETURN_IF_ERROR(
+            RowsChunk(env, std::move(cursor), &out.rows, &out.stats));
+        mark_done(m.index, static_cast<int64_t>(out.rows.size()));
+        return Status::OK();
       }));
 
   // Gather per-morsel buffers in page order, truncated at TOP.
   SQLARRAY_SPAN("exec.merge");
   for (RowsPartial& p : partials) {
     for (std::vector<Value>& row : p.rows) {
-      if (q.top >= 0 && static_cast<int64_t>(rs.rows.size()) >= q.top) break;
-      rs.rows.push_back(std::move(row));
+      if (q.top >= 0 && static_cast<int64_t>(rs->rows.size()) >= q.top) break;
+      rs->rows.push_back(std::move(row));
     }
-    MergeStats(&rs.stats, p.stats);
+    MergeStats(&rs->stats, p.stats);
   }
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
-}
-
-Result<ResultSet> Executor::ExecuteRows(const Query& q,
-                                        std::map<std::string, Value>* variables,
-                                        QueryContext* qctx) {
-  // TOP queries stay row-at-a-time: gathering a whole batch past the limit
-  // would inflate rows_scanned relative to the early-exit row loop.
-  if (batch_rows_ > 1 && q.table != nullptr && q.top < 0) {
-    return ExecuteRowsBatched(q, variables, qctx);
-  }
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
-  SQLARRAY_SPAN("exec.scan");
-  storage::IoStats io_before = db_->disk()->stats();
-
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-
-  const gov::QueryLimits* limits = qctx != nullptr ? &qctx->limits : nullptr;
-  EvalContext ctx;
-  ctx.schema = q.table != nullptr ? &q.table->schema() : nullptr;
-  ctx.variables = variables;
-  ctx.udf.pool = db_->buffer_pool();
-  ctx.udf.subquery = subquery_fn_;
-  ctx.udf.stats = &rs.stats;
-  ctx.udf.cost = &cost_;
-  ctx.udf.limits = limits;
-
-  std::vector<std::vector<Value>> tvf_rows;
-  std::optional<storage::BTree::Cursor> cursor;
-  size_t tvf_pos = 0;
-  bool first_row = true;
-  if (q.tvf != nullptr) {
-    SQLARRAY_ASSIGN_OR_RETURN(tvf_rows,
-                              MaterializeTvf(q, variables, &rs.stats));
-  } else {
-    SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::Cursor c,
-                              q.table->Scan(SnapOf(qctx)));
-    cursor = std::move(c);
-  }
-  auto next_row = [&](EvalContext* c) -> Result<bool> {
-    if (q.tvf != nullptr) {
-      if (tvf_pos >= tvf_rows.size()) return false;
-      c->value_row = &tvf_rows[tvf_pos++];
-      return true;
-    }
-    if (!first_row) SQLARRAY_RETURN_IF_ERROR(cursor->Next());
-    first_row = false;
-    if (!cursor->valid()) return false;
-    c->row = cursor->row().data();
-    return true;
-  };
-
-  while (true) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-    if (q.top >= 0 && static_cast<int64_t>(rs.rows.size()) >= q.top) break;
-    SQLARRAY_ASSIGN_OR_RETURN(bool has_row, next_row(&ctx));
-    if (!has_row) break;
-    rs.stats.rows_scanned++;
-    rs.stats.ChargeCpuNs(cost_.row_scan_ns);
-
-    if (q.where != nullptr) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value keep, Eval(*q.where, ctx));
-      SQLARRAY_ASSIGN_OR_RETURN(int64_t truthy,
-                                keep.is_null() ? Result<int64_t>(int64_t{0})
-                                               : keep.AsInt());
-      if (truthy == 0) {
-        continue;
-      }
-    }
-    rs.stats.rows_kept++;
-    SQLARRAY_RETURN_IF_ERROR(GovCharge(limits, RowFootprint(q.items.size())));
-
-    std::vector<Value> row;
-    row.reserve(q.items.size());
-    for (const SelectItem& item : q.items) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-      row.push_back(std::move(v));
-    }
-    rs.rows.push_back(std::move(row));
-  }
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
-}
-
-Result<ResultSet> Executor::ExecuteRowsBatched(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx) {
-  ResultSet rs;
-  rs.stats.track_udf_detail = qctx != nullptr && qctx->collect_profile;
-  Stopwatch watch;
-  SQLARRAY_SPAN("exec.scan");
-  storage::IoStats io_before = db_->disk()->stats();
-  for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
-  const size_t n_items = q.items.size();
-
-  const gov::QueryLimits* limits = qctx != nullptr ? &qctx->limits : nullptr;
-  UdfContext udf;
-  udf.pool = db_->buffer_pool();
-  udf.subquery = subquery_fn_;
-  udf.stats = &rs.stats;
-  udf.cost = &cost_;
-  udf.limits = limits;
-
-  SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::Cursor cursor,
-                            q.table->Scan(SnapOf(qctx)));
-
-  RowBatch batch;
-  ByteBufferPool byte_pool;
-  EvalArena arena;
-  BatchContext bctx;
-  bctx.schema = &q.table->schema();
-  bctx.batch = &batch;
-  bctx.variables = variables;
-  bctx.udf = &udf;
-  bctx.byte_pool = &byte_pool;
-  bctx.arena = &arena;
-
-  std::vector<int32_t> sel;
-  std::vector<Value> keep_col;
-  VecScratch vscratch;
-  const int64_t rsz = q.table->schema().row_size();
-
-  VecQueryPlan vplan_store;
-  const VecQueryPlan* vplan = nullptr;
-  if (vectorized_) {
-    vplan_store = BuildVecPlan(q, variables, /*rows_mode=*/true);
-    if (vplan_store.any) vplan = &vplan_store;
-  }
-
-  SQLARRAY_RETURN_IF_ERROR(
-      GovCharge(limits, rsz * static_cast<int64_t>(batch_rows_)));
-  if (vplan != nullptr) {
-    SQLARRAY_RETURN_IF_ERROR(
-        GovCharge(limits, VecPlanFootprint(*vplan, batch_rows_)));
-  }
-  while (true) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-    batch.Reset(rsz, batch_rows_);
-    SQLARRAY_RETURN_IF_ERROR(FillBatchFromCursor(cursor, &batch));
-    if (batch.size() == 0) break;
-    rs.stats.rows_scanned += batch.size();
-    for (int32_t i = 0; i < batch.size(); ++i) {
-      rs.stats.ChargeCpuNs(cost_.row_scan_ns);
-    }
-
-    if (vplan != nullptr) {
-      VecBatchesCounter().Add(1);
-      VecRowsCounter().Add(batch.size());
-    }
-    if (vplan != nullptr && vplan->where_ok) {
-      SQLARRAY_RETURN_IF_ERROR(vec::VecFilter(
-          vplan->where, batch, &vscratch.regs, &vscratch.trunc, &sel));
-      bctx.sel = nullptr;
-    } else {
-      SQLARRAY_RETURN_IF_ERROR(FilterBatch(q, &bctx, &keep_col, &sel));
-      if (vplan != nullptr && q.where != nullptr) {
-        VecFallbackRowsCounter().Add(batch.size());
-      }
-    }
-    if (sel.empty()) continue;
-    rs.stats.rows_kept += static_cast<int64_t>(sel.size());
-    SQLARRAY_RETURN_IF_ERROR(GovCharge(
-        limits, static_cast<int64_t>(sel.size()) * RowFootprint(n_items)));
-    bctx.sel = &sel;
-
-    // Evaluate every item column, then stitch output rows together.
-    ColumnGuard guard(&arena);
-    std::vector<std::vector<Value>*> cols;
-    cols.reserve(n_items);
-    for (size_t i = 0; i < n_items; ++i) {
-      cols.push_back(guard.Borrow());
-      if (vplan != nullptr && vplan->items[i] != nullptr) {
-        SQLARRAY_RETURN_IF_ERROR(
-            vplan->items[i]->Run(batch, &sel, &vscratch.regs));
-        vec::ColumnToValues(vplan->items[i]->Result(vscratch.regs), cols[i]);
-        continue;
-      }
-      SQLARRAY_RETURN_IF_ERROR(EvalBatch(*q.items[i].expr, bctx, cols[i]));
-      if (vplan != nullptr) {
-        VecFallbackRowsCounter().Add(static_cast<int64_t>(sel.size()));
-      }
-    }
-    for (size_t k = 0; k < sel.size(); ++k) {
-      std::vector<Value> row;
-      row.reserve(n_items);
-      for (size_t i = 0; i < n_items; ++i) {
-        row.push_back(std::move((*cols[i])[k]));
-      }
-      rs.rows.push_back(std::move(row));
-    }
-  }
-
-  rs.stats.io = db_->disk()->stats() - io_before;
-  rs.stats.wall_seconds = watch.ElapsedSeconds();
-  return rs;
+  return Status::OK();
 }
 
 }  // namespace sqlarray::engine

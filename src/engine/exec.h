@@ -3,10 +3,12 @@
 //
 // Execution is real (results are actually computed); virtual time is
 // accounted against the CostModel so benches can report the modeled testbed
-// numbers next to measured wall time. Eligible scans run morsel-driven
-// parallel plans over a persistent worker pool (engine/parallel.h), with
-// partial results merged in deterministic morsel-index order so any worker
-// count produces bit-identical results.
+// numbers next to measured wall time. Every table scan without a UDA runs
+// one morsel-driven pipeline (source -> filter -> aggregate/project) over a
+// persistent worker pool (engine/parallel.h), with partial results merged in
+// deterministic morsel-index order so any worker count produces
+// bit-identical results. UDAs and table-valued-function sources fold
+// serially.
 #pragma once
 
 #include <atomic>
@@ -28,6 +30,7 @@
 namespace sqlarray::engine {
 
 class Executor;
+struct ScanEnv;
 
 /// RAII installation of the session's subquery runner (how reader-style
 /// UDFs pull rows). The scope OWNS the function; the executor only points
@@ -99,18 +102,6 @@ struct ResultSet {
   Result<Value> ScalarResult() const;
 };
 
-/// How eligible scans are divided across workers.
-enum class ParallelMode {
-  /// Morsel-driven (default): a work-stealing queue of small leaf-page
-  /// ranges served by the persistent worker pool, all sharing the
-  /// database's buffer pool; partial results merge in morsel-index order.
-  kMorsel,
-  /// The pre-morsel scheme, kept for bench comparison: fresh threads per
-  /// query, one static leaf-chain chunk and a private buffer pool per
-  /// worker, ungrouped native aggregates only.
-  kStaticChunkLegacy,
-};
-
 /// Executes bound queries against a Database.
 class Executor {
  public:
@@ -128,19 +119,15 @@ class Executor {
   /// is active at a time; installing another displaces the previous scope.
   [[nodiscard]] SubqueryScope InstallSubqueryRunner(SubqueryFn fn);
 
-  /// Degree of parallelism for eligible scans (table source, no UDA, no
-  /// reader-style UDF): ungrouped aggregates, GROUP BY, and row-mode
-  /// filters/TOP. The effective worker count is additionally capped by the
-  /// table's page count so tiny scans skip the fixed per-worker setup.
-  /// Results are bit-identical at any worker count: eligible queries run
-  /// the morsel plan even at 1 worker (inline, no thread dispatch), and
-  /// partials always merge in morsel-index order.
+  /// Degree of parallelism for table scans. Every table query without a
+  /// UDA runs the morsel pipeline; the effective worker count is capped by
+  /// the table's page count so tiny scans skip the fixed per-worker setup,
+  /// and a query that calls a reader-style UDF runs on the calling thread
+  /// as a one-morsel grid. Results are bit-identical at any worker count:
+  /// the grid depends only on the table, 1 worker runs it inline (no thread
+  /// dispatch), and partials always merge in morsel-index order.
   void set_scan_workers(int workers) { scan_workers_ = workers; }
   int scan_workers() const { return scan_workers_; }
-
-  /// Selects the parallel scheduling scheme (bench comparison hook).
-  void set_parallel_mode(ParallelMode mode) { parallel_mode_ = mode; }
-  ParallelMode parallel_mode() const { return parallel_mode_; }
 
   /// Overrides the leaf-pages-per-worker amortization floor (tests force
   /// real multi-threading on tiny tables with 0); negative restores the
@@ -153,10 +140,11 @@ class Executor {
   /// reused after that; test/introspection access).
   WorkerPool* worker_pool() { return worker_pool_.get(); }
 
-  /// Rows gathered per evaluation batch on eligible scans (table source, no
-  /// GROUP BY, no UDA, no TOP). Values <= 1 force row-at-a-time execution;
-  /// results are identical either way (engine/batch.h documents the
-  /// contract), which tests/test_engine.cc exercises differentially.
+  /// Rows gathered per evaluation batch in table scans without GROUP BY
+  /// (row-mode TOP also stays row-at-a-time). Values <= 1 force
+  /// row-at-a-time execution — the test oracle; results are identical
+  /// either way (engine/batch.h documents the contract), which
+  /// tests/test_engine.cc exercises differentially.
   void set_batch_rows(int rows) { batch_rows_ = rows; }
   int batch_rows() const { return batch_rows_; }
 
@@ -207,57 +195,43 @@ class Executor {
                     const obs::MetricsSnapshot& metrics_before,
                     std::map<std::string, Value>* variables,
                     QueryContext* qctx);
-  Result<ResultSet> ExecuteAggregate(const Query& q,
-                                     std::map<std::string, Value>* variables,
-                                     QueryContext* qctx);
-  /// Batched ungrouped aggregation (no UDAs): gathers row blocks and
-  /// evaluates WHERE / aggregate arguments column-wise.
-  Result<ResultSet> ExecuteAggregateBatched(
-      const Query& q, std::map<std::string, Value>* variables,
-      QueryContext* qctx);
-  Result<ResultSet> ExecuteRows(const Query& q,
-                                std::map<std::string, Value>* variables,
-                                QueryContext* qctx);
-  /// Batched row-mode scan (no TOP limit).
-  Result<ResultSet> ExecuteRowsBatched(
-      const Query& q, std::map<std::string, Value>* variables,
-      QueryContext* qctx);
+  /// Serial sink for UDAs and TVF sources: one row at a time, grouped
+  /// or not, in source order.
+  Status ExecuteAggregate(const Query& q,
+                          std::map<std::string, Value>* variables,
+                          QueryContext* qctx, ResultSet* rs);
+  /// Row-mode projection over a TVF source.
+  Status ExecuteRows(const Query& q, std::map<std::string, Value>* variables,
+                     QueryContext* qctx, ResultSet* rs);
   /// Evaluates a TVF source's arguments and materializes its rows, charging
   /// the boundary costs.
   Result<std::vector<std::vector<Value>>> MaterializeTvf(
       const Query& q, std::map<std::string, Value>* variables,
       QueryStats* stats);
 
-  /// True when the query can take a morsel-driven plan: table source, no
-  /// UDA items, no reader-style (subquery-reentrant) UDF anywhere.
-  bool MorselEligible(const Query& q) const;
-  /// Morsel-driven ungrouped native aggregation (plain items allowed,
-  /// first-surviving-row semantics).
-  Result<ResultSet> ExecuteAggregateMorsel(
-      const Query& q, std::map<std::string, Value>* variables,
-      QueryContext* qctx);
-  /// Morsel-driven GROUP BY: per-morsel partial hash aggregation merged in
-  /// morsel-index order.
-  Result<ResultSet> ExecuteGroupByMorsel(
-      const Query& q, std::map<std::string, Value>* variables,
-      QueryContext* qctx);
+  /// Plans a table scan: the morsel grid, the effective worker count, the
+  /// compiled columnar plan, and the UDF context its morsels share.
+  Result<ScanEnv> PlanScan(const Query& q,
+                           std::map<std::string, Value>* variables,
+                           QueryContext* qctx);
+  /// Morsel-driven aggregation, grouped or not: per-morsel partial groups
+  /// merged in morsel-index order.
+  Status ExecuteAggregateMorsel(const Query& q,
+                                std::map<std::string, Value>* variables,
+                                QueryContext* qctx, ResultSet* rs);
   /// Morsel-driven row-mode scan: per-morsel result buffers gathered in
   /// page order; TOP short-circuits through a shared row-count token.
-  Result<ResultSet> ExecuteRowsMorsel(const Query& q,
-                                      std::map<std::string, Value>* variables,
-                                      QueryContext* qctx);
-  /// Runs `body` over every morsel of the grid on `workers` pool threads
-  /// (inline when workers == 1); returns the first failure in morsel order.
-  /// Each body invocation runs under a trace lane equal to its morsel index
+  Status ExecuteRowsMorsel(const Query& q,
+                           std::map<std::string, Value>* variables,
+                           QueryContext* qctx, ResultSet* rs);
+  /// Runs `body` over every morsel of the scan's grid on its worker count
+  /// (inline at 1 worker); returns the first failure in morsel order. Each
+  /// body invocation runs under a trace lane equal to its morsel index
   /// when qctx is given, so spans stitch deterministically.
-  Status RunMorselScan(size_t n_pages, size_t morsel_pages, int workers,
-                       QueryContext* qctx,
+  Status RunMorselScan(const ScanEnv& env, QueryContext* qctx,
                        const std::function<Status(const Morsel&)>& body);
   /// Dispatches fn to the persistent pool (inline at 1 worker).
   void RunOnWorkers(int workers, const std::function<void(int)>& fn);
-  /// Legacy static-chunk ungrouped aggregation (ParallelMode comparison).
-  Result<ResultSet> ExecuteAggregateStaticChunk(
-      const Query& q, std::map<std::string, Value>* variables);
 
   storage::Database* db_;
   FunctionRegistry* registry_;
@@ -269,7 +243,6 @@ class Executor {
   int scan_workers_ = 1;
   int batch_rows_ = 1024;
   bool vectorized_ = true;
-  ParallelMode parallel_mode_ = ParallelMode::kMorsel;
   int64_t min_pages_per_worker_ = -1;
   /// Serializes pool creation and Run: the WorkerPool accepts one job at a
   /// time, and the multi-session front-end can race parallel scans.

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/vec_kernels.h"
+
 namespace sqlarray::engine {
 
 ExprPtr Lit(Value v) {
@@ -117,19 +119,25 @@ Result<Value> EvalBinaryOp(BinaryOp op, const Value& l, const Value& r) {
 
   switch (op) {
     case BinaryOp::kAdd:
-      if (both_int) return Value::Int(l.AsInt().value() + r.AsInt().value());
+      if (both_int) {
+        return Value::Int(col::WrapAdd(l.AsInt().value(), r.AsInt().value()));
+      }
       return numeric([](double a, double b) { return Value::Double(a + b); });
     case BinaryOp::kSub:
-      if (both_int) return Value::Int(l.AsInt().value() - r.AsInt().value());
+      if (both_int) {
+        return Value::Int(col::WrapSub(l.AsInt().value(), r.AsInt().value()));
+      }
       return numeric([](double a, double b) { return Value::Double(a - b); });
     case BinaryOp::kMul:
-      if (both_int) return Value::Int(l.AsInt().value() * r.AsInt().value());
+      if (both_int) {
+        return Value::Int(col::WrapMul(l.AsInt().value(), r.AsInt().value()));
+      }
       return numeric([](double a, double b) { return Value::Double(a * b); });
     case BinaryOp::kDiv:
       if (both_int) {
         int64_t b = r.AsInt().value();
         if (b == 0) return Status::InvalidArgument("division by zero");
-        return Value::Int(l.AsInt().value() / b);
+        return Value::Int(col::WrapDiv(l.AsInt().value(), b));
       }
       return numeric([](double a, double b) -> Result<Value> {
         if (b == 0) return Status::InvalidArgument("division by zero");
@@ -139,7 +147,7 @@ Result<Value> EvalBinaryOp(BinaryOp op, const Value& l, const Value& r) {
       SQLARRAY_ASSIGN_OR_RETURN(int64_t a, l.AsInt());
       SQLARRAY_ASSIGN_OR_RETURN(int64_t b, r.AsInt());
       if (b == 0) return Status::InvalidArgument("modulo by zero");
-      return Value::Int(a % b);
+      return Value::Int(col::WrapMod(a, b));
     }
     case BinaryOp::kEq:
     case BinaryOp::kNe:
@@ -178,7 +186,7 @@ Result<Value> EvalUnaryOp(UnaryOp op, const Value& v) {
   if (v.is_null()) return Value::Null();
   if (op == UnaryOp::kNeg) {
     if (v.kind() == Value::Kind::kInt64) {
-      return Value::Int(-v.AsInt().value());
+      return Value::Int(col::WrapNeg(v.AsInt().value()));
     }
     SQLARRAY_ASSIGN_OR_RETURN(double d, v.AsDouble());
     return Value::Double(-d);

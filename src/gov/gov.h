@@ -143,6 +143,9 @@ struct QueryLimits {
   Status Charge(int64_t bytes) const {
     return budget != nullptr ? budget->Charge(bytes) : Status::OK();
   }
+  void Release(int64_t bytes) const {
+    if (budget != nullptr) budget->Release(bytes);
+  }
   bool governed() const { return cancel != nullptr || budget != nullptr; }
 };
 

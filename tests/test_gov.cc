@@ -373,6 +373,48 @@ TEST_F(GovSessionTest, PreCancelledStatementHasZeroSideEffects) {
   EXPECT_TRUE(session.cancel_source()->Check().ok());
 }
 
+TEST(GovScanBudget, ScanScratchPeakDoesNotGrowWithTableSize) {
+  // A scan's per-morsel scratch (gather buffer, register file) is returned
+  // when the morsel ends, so the budget an aggregate needs is the same on a
+  // table ten times larger (ten times as many morsels).
+  storage::Database db;
+  engine::FunctionRegistry registry;
+  ASSERT_TRUE(udfs::RegisterAllUdfs(&registry).ok());
+  engine::Executor executor(&db, &registry);
+  executor.set_scan_workers(1);
+  sql::Session session(&executor);
+  auto fill = [&](const std::string& table, int rows) {
+    ASSERT_TRUE(
+        session.Execute("CREATE TABLE " + table + " (id BIGINT, v BIGINT)")
+            .ok());
+    for (int base = 0; base < rows; base += 1000) {
+      std::string values;
+      for (int id = base; id < base + 1000 && id < rows; ++id) {
+        if (!values.empty()) values += ", ";
+        values += "(" + std::to_string(id) + ", " + std::to_string(id) + ")";
+      }
+      ASSERT_TRUE(
+          session.Execute("INSERT INTO " + table + " VALUES " + values).ok());
+    }
+  };
+  fill("small", 4000);
+  fill("big", 40000);
+  ASSERT_TRUE(session.Execute("SET MEMORY_BUDGET_KB = 0").ok());
+  auto peak = [&](const std::string& table) {
+    auto r = session.Execute("SELECT SUM(v) FROM " + table +
+                             " WHERE id < 100");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->at(0).rows.at(0).at(0).AsInt().value(), 4950);
+    return session.last_peak_memory_bytes();
+  };
+  const int64_t small_peak = peak("small");
+  EXPECT_GT(small_peak, 0);
+  EXPECT_EQ(peak("big"), small_peak);
+  // The same query fits a 256 KB budget at either size.
+  ASSERT_TRUE(session.Execute("SET MEMORY_BUDGET_KB = 256").ok());
+  EXPECT_TRUE(session.Execute("SELECT SUM(v) FROM big WHERE id < 100").ok());
+}
+
 TEST_F(GovSessionTest, MemoryBudgetAbortsQueryNotProcess) {
   sql::Session session(&executor_);
   Run(&session, "CREATE TABLE m (id BIGINT, v BIGINT)");

@@ -2,7 +2,12 @@
 // paper's exact Sec. 5.1 statements and the Sec. 8 subscript sugar.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
+#include <string>
+
 #include "core/array.h"
+#include "core/vec_kernels.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "sql/session.h"
@@ -218,6 +223,110 @@ TEST_F(SessionTest, ReaderStyleConcatQueryMatchesUda) {
   for (int64_t i = 0; i < 3; ++i) {
     EXPECT_EQ(u.ref().GetDouble(i).value(), r.ref().GetDouble(i).value());
   }
+}
+
+/// Renders result sets as text so results from different plans compare
+/// exactly (doubles at full precision).
+std::string Render(const std::vector<engine::ResultSet>& results) {
+  std::string out;
+  for (const engine::ResultSet& rs : results) {
+    for (const std::vector<Value>& row : rs.rows) {
+      for (const Value& v : row) {
+        if (v.is_null()) {
+          out += "NULL";
+        } else if (v.kind() == Value::Kind::kInt64) {
+          out += "i" + std::to_string(v.AsInt().value());
+        } else {
+          char buf[32];
+          std::snprintf(buf, sizeof(buf), "d%.17g", v.AsDouble().value());
+          out += buf;
+        }
+        out += ",";
+      }
+      out += ";";
+    }
+    out += "|";
+  }
+  return out;
+}
+
+TEST_F(SessionTest, ReaderUdfInsideTableScan) {
+  // A reader-style UDF (ConcatQuery re-enters the session) called once per
+  // row of a table scan, in the four plan shapes a table query can take.
+  Run("CREATE TABLE cells2 (id BIGINT, ix BIGINT, v FLOAT)");
+  Run("INSERT INTO cells2 VALUES (1, 0, 5.0), (2, 1, 6.0), (3, 2, 7.0)");
+  Run("DECLARE @l VARBINARY(100) = IntArray.Vector_1(3)");
+  const std::string item =
+      "FloatArray.Item_1(FloatArrayMax.ConcatQuery(@l, "
+      "'SELECT ix, v FROM cells2'), id - 1)";
+  const std::string rows_q =
+      "SELECT id, " + item + " FROM cells2 WHERE id >= 2";
+  const std::string sum_q = "SELECT SUM(" + item + ") FROM cells2";
+  const std::string group_q = "SELECT id % 2, SUM(" + item +
+                              ") FROM cells2 GROUP BY id % 2 ORDER BY 1";
+  const std::string top_q = "SELECT TOP 2 id, " + item + " FROM cells2";
+  executor_.set_min_pages_per_worker(0);
+  for (int workers : {1, 4}) {
+    for (int batch : {1, 1024}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " batch=" + std::to_string(batch));
+      executor_.set_scan_workers(workers);
+      executor_.set_batch_rows(batch);
+      EXPECT_EQ(Render(Run(rows_q)), "i2,d6,;i3,d7,;|");
+      EXPECT_EQ(Render(Run(sum_q)), "d18,;|");
+      EXPECT_EQ(Render(Run(group_q)), "i0,d6,;i1,d12,;|");
+      EXPECT_EQ(Render(Run(top_q)), "i1,d5,;i2,d6,;|");
+    }
+  }
+}
+
+TEST_F(SessionTest, Int64OverflowWrapsIdenticallyOnEveryPath) {
+  // Every int64 operator wraps modulo 2^64 on the row and the columnar
+  // path alike; INT64_MIN / -1 and % -1 must not trap (SIGFPE).
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::string min_lit = "(-9223372036854775807 - 1)";
+  Run("CREATE TABLE ovf (id BIGINT, v BIGINT)");
+  // Enough rows for several morsels, so partial integer sums merge too.
+  constexpr int kRows = 12001;
+  for (int base = 1; base <= kRows; base += 1000) {
+    std::string values;
+    for (int id = base; id < base + 1000 && id <= kRows; ++id) {
+      if (!values.empty()) values += ", ";
+      values += "(" + std::to_string(id) + ", " + min_lit + ")";
+    }
+    Run("INSERT INTO ovf VALUES " + values);
+  }
+  const std::string from_less =
+      "SELECT " + min_lit + " / -1, " + min_lit + " % -1, -" + min_lit +
+      ", 9223372036854775807 + 1, 9223372036854775807 * 2, " + min_lit +
+      " - 1";
+  const std::string row_q =
+      "SELECT v / -1, v % -1, -v, v + v, v * 2, v - 1 FROM ovf "
+      "WHERE id <= 2";
+  const std::string agg_q = "SELECT SUM(v), SUM(v / -1), SUM(v % -1) FROM ovf";
+  auto i = [](int64_t x) { return "i" + std::to_string(x) + ","; };
+  const std::string row = i(kMin) + i(0) + i(kMin) + i(0) + i(0) + i(kMax);
+  // kRows is odd: kRows * INT64_MIN wraps to INT64_MIN.
+  const std::string want = i(kMin) + i(0) + i(kMin) + i(kMin) + i(-2) +
+                           i(kMax) + ";|" + row + ";" + row + ";|" + i(kMin) +
+                           i(kMin) + i(0) + ";|";
+  for (bool force_scalar : {false, true}) {
+    col::SetForceScalar(force_scalar);
+    for (bool vectorized : {false, true}) {
+      for (int batch : {1, 1024}) {
+        SCOPED_TRACE("scalar=" + std::to_string(force_scalar) +
+                     " vectorized=" + std::to_string(vectorized) +
+                     " batch=" + std::to_string(batch));
+        executor_.set_vectorized(vectorized);
+        executor_.set_batch_rows(batch);
+        std::string got = Render(Run(from_less)) + Render(Run(row_q)) +
+                          Render(Run(agg_q));
+        EXPECT_EQ(got, want);
+      }
+    }
+  }
+  col::SetForceScalar(false);
 }
 
 TEST_F(SessionTest, SubscriptSugarReadsAndSlices) {
