@@ -4,9 +4,10 @@
 // PAGE_VERIFY CHECKSUM, LevelDB/RocksDB block trailers, ext4 metadata). The
 // storage layer stamps each written page with a CRC32C and verifies it on
 // read so torn writes and media bit rot surface as kCorruption instead of
-// silently wrong query results. Implemented as slicing-by-8 so the per-page
-// cost stays small next to the modeled I/O time (bench/bench_checksum
-// measures it).
+// silently wrong query results. On x86-64 CPUs with SSE4.2 (detected once
+// per process) it runs on the CRC32 instruction, three streams interleaved;
+// everywhere else it runs as slicing-by-8 (Crc32cPortable). Both return
+// identical values; bench/bench_checksum measures each.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +20,10 @@ namespace sqlarray {
 /// checksum a byte sequence incrementally). The seed/result are plain CRC
 /// values — the pre/post inversion is handled internally.
 uint32_t Crc32c(std::span<const uint8_t> data, uint32_t seed = 0);
+
+/// The table-driven slicing-by-8 implementation: Crc32c's path on CPUs
+/// without SSE4.2, and the reference tests and benches compare it against.
+uint32_t Crc32cPortable(std::span<const uint8_t> data, uint32_t seed = 0);
 
 /// Convenience overload for raw buffers.
 inline uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0) {

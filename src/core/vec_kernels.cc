@@ -560,7 +560,7 @@ Status I64ToF64(const int64_t* a, int32_t n, double* out) {
 Status F64ToI64(const double* a, int32_t n, int64_t* out) {
   return RunBlocked(n, [&](int32_t off, int32_t len) {
     for (int32_t i = off; i < off + len; ++i) {
-      out[i] = static_cast<int64_t>(a[i]);
+      out[i] = TruncToI64(a[i]);
     }
   });
 }

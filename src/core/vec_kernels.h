@@ -76,6 +76,14 @@ inline int64_t WrapDiv(int64_t a, int64_t b) {
 }
 inline int64_t WrapMod(int64_t a, int64_t b) { return b == -1 ? 0 : a % b; }
 
+// double -> int64 truncation toward zero without UB, shared by F64ToI64 and
+// Value::AsInt. NaN, +-inf and values outside [-2^63, 2^63) give INT64_MIN,
+// the "integer indefinite" x86's cvttsd2si returns for them.
+inline int64_t TruncToI64(double d) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  return d >= -kTwo63 && d < kTwo63 ? static_cast<int64_t>(d) : INT64_MIN;
+}
+
 /// Elements per cancellation probe inside the kernel loops.
 inline constexpr int32_t kCancelBlock = 8192;
 
@@ -136,7 +144,7 @@ Status NegI64(const int64_t* a, int32_t n, int64_t* out);
 Status NegF64(const double* a, int32_t n, double* out);
 
 /// Lane conversions: int64 -> double widens (static_cast), double -> int64
-/// truncates toward zero (static_cast — Value::AsInt coercion).
+/// truncates toward zero (TruncToI64 — Value::AsInt coercion).
 Status I64ToF64(const int64_t* a, int32_t n, double* out);
 Status F64ToI64(const double* a, int32_t n, int64_t* out);
 

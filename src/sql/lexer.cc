@@ -126,6 +126,16 @@ Result<std::vector<Token>> Lex(std::string_view src) {
         t.type = TokenType::kInt;
         auto [p, ec] =
             std::from_chars(num.data(), num.data() + num.size(), t.int_value);
+        if (ec == std::errc::result_out_of_range && !out.empty() &&
+            out.back().type == TokenType::kMinus) {
+          uint64_t magnitude = 0;
+          if (std::from_chars(num.data(), num.data() + num.size(), magnitude)
+                      .ec == std::errc() &&
+              magnitude == uint64_t{1} << 63) {
+            t.type = TokenType::kIntMinMagnitude;
+            ec = std::errc();
+          }
+        }
         if (ec != std::errc()) {
           return Status::InvalidArgument("integer literal out of range");
         }

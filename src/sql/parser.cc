@@ -542,6 +542,9 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     if (Accept(TokenType::kMinus)) {
+      if (Accept(TokenType::kIntMinMagnitude)) {
+        return engine::Lit(Value::Int(INT64_MIN));
+      }
       SQLARRAY_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
       return engine::Un(UnaryOp::kNeg, std::move(operand));
     }
@@ -672,6 +675,9 @@ class Parser {
         }
         return engine::Col(first);
       }
+      case TokenType::kIntMinMagnitude:
+        // 2^63 after a binary minus: only unary minus can take it.
+        return Status::InvalidArgument("integer literal out of range");
       default:
         return Status::InvalidArgument("unexpected token at offset " +
                                        std::to_string(t.offset));

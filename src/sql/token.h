@@ -12,6 +12,9 @@ enum class TokenType {
   kIdent,      ///< identifier or keyword (case-insensitive)
   kVariable,   ///< @name
   kInt,        ///< integer literal
+  /// 9223372036854775808 (2^63) right after '-': only unary minus may take
+  /// it, giving INT64_MIN; the lexer rejects it anywhere else.
+  kIntMinMagnitude,
   kFloat,      ///< floating literal
   kString,     ///< 'text'
   kBinary,     ///< 0x... literal

@@ -58,8 +58,7 @@ void SimulatedDisk::NoteFaultHealed() {
   ++stats_.transient_faults_healed;
 }
 
-Status SimulatedDisk::ReadPage(PageId id, Page* out) {
-  std::lock_guard<std::mutex> lock(mutex_);
+Status SimulatedDisk::CopyPageLocked(PageId id, Page* out) {
   if (id == kNullPage || id > pages_.size()) {
     return Status::InvalidArgument("read of unallocated page " +
                                    std::to_string(id));
@@ -90,17 +89,37 @@ Status SimulatedDisk::ReadPage(PageId id, Page* out) {
   }
 
   *out = *pages_[id - 1];
-  if (checksums_enabled_) {
-    auto it = checksums_.find(id);
-    if (it != checksums_.end() && it->second != PageChecksum(*out)) {
-      ++stats_.read_errors;
-      ++stats_.checksum_failures;
-      reg_read_errors_->Add(1);
-      reg_checksum_failures_->Add(1);
-      return Status::Corruption("checksum mismatch on page " +
-                                std::to_string(id) +
-                                " (torn or corrupted page)");
+  return Status::OK();
+}
+
+Status SimulatedDisk::ReadPage(PageId id, Page* out) {
+  // The image is copied and its stored checksum looked up under the lock;
+  // the copy is verified after releasing it, so concurrent readers do not
+  // serialize on the CRC. Accounting then happens under a second hold.
+  bool verify = false;
+  uint32_t expected = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    SQLARRAY_RETURN_IF_ERROR(CopyPageLocked(id, out));
+    if (checksums_enabled_) {
+      auto it = checksums_.find(id);
+      if (it != checksums_.end()) {
+        verify = true;
+        expected = it->second;
+      }
     }
+  }
+  const bool corrupt = verify && expected != PageChecksum(*out);
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (corrupt) {
+    ++stats_.read_errors;
+    ++stats_.checksum_failures;
+    reg_read_errors_->Add(1);
+    reg_checksum_failures_->Add(1);
+    return Status::Corruption("checksum mismatch on page " +
+                              std::to_string(id) +
+                              " (torn or corrupted page)");
   }
 
   stats_.pages_read++;
@@ -141,6 +160,9 @@ Status SimulatedDisk::CorruptPageByte(PageId id, int64_t offset) {
 }
 
 Status SimulatedDisk::WritePage(PageId id, const Page& page) {
+  // Checksum the caller's image before taking the lock.
+  const bool stamp = checksums_enabled_;
+  const uint32_t checksum = stamp ? PageChecksum(page) : 0;
   std::lock_guard<std::mutex> lock(mutex_);
   if (id == kNullPage || id > pages_.size()) {
     return Status::InvalidArgument("write of unallocated page " +
@@ -164,7 +186,7 @@ Status SimulatedDisk::WritePage(PageId id, const Page& page) {
   }
   if (stored) *pages_[id - 1] = page;
 
-  if (checksums_enabled_) checksums_[id] = PageChecksum(page);
+  if (stamp) checksums_[id] = checksum;
   stats_.pages_written++;
   stats_.bytes_written += kPageSize;
   reg_pages_written_->Add(1);

@@ -164,6 +164,11 @@ class SimulatedDisk {
   void NoteFaultHealed();
 
  private:
+  /// ReadPage's locked part: checks the id, applies any armed fault (a bit
+  /// flip lands on the stored image before it is copied) and copies the
+  /// image into `out`. Caller holds mutex_.
+  Status CopyPageLocked(PageId id, Page* out);
+
   DiskConfig config_;
   std::vector<std::unique_ptr<Page>> pages_;
   IoStats stats_;

@@ -144,6 +144,112 @@ TEST(Crc32c, KnownAnswerVectors) {
   EXPECT_NE(Crc32c(data.data(), data.size()), oneshot);
 }
 
+/// Bit-at-a-time CRC32C: the definition both implementations must match.
+uint32_t BitwiseCrc32c(const uint8_t* p, size_t n, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0);
+    }
+  }
+  return ~crc;
+}
+
+/// The hardware path interleaves three streams over 2728-byte blocks.
+constexpr size_t kCrcBlock = 2728;
+
+struct CrcCase {
+  size_t offset;
+  size_t length;
+  uint32_t seed;
+};
+
+/// Every length 0-64, lengths around one, two and three blocks, one page
+/// and a page plus a word, then random lengths up to 20,000 bytes at all 8
+/// misalignments with random seeds.
+std::vector<CrcCase> CrcCases() {
+  std::vector<CrcCase> cases;
+  for (size_t len = 0; len <= 64; ++len) {
+    cases.push_back({len % 8, len, static_cast<uint32_t>(len * 0x9E3779B9u)});
+  }
+  for (size_t blocks = 1; blocks <= 3; ++blocks) {
+    for (size_t len = blocks * kCrcBlock - 9; len <= blocks * kCrcBlock + 9;
+         ++len) {
+      cases.push_back({len % 8, len, 0});
+    }
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    cases.push_back({offset, 8192, 0});
+    cases.push_back({offset, 8200, 0xDEADBEEFu});
+  }
+  Rng rng(1234);
+  for (int i = 0; i < 64; ++i) {
+    size_t len = static_cast<size_t>(rng.UniformInt(0, 20000));
+    for (size_t offset = 0; offset < 8; ++offset) {
+      cases.push_back({offset, len, static_cast<uint32_t>(rng.NextU64())});
+    }
+  }
+  return cases;
+}
+
+std::vector<uint8_t> CrcBuffer() {
+  std::vector<uint8_t> buf(20000 + 8);
+  Rng rng(99);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  return buf;
+}
+
+TEST(Crc32c, PortableMatchesBitwise) {
+  const std::vector<uint8_t> buf = CrcBuffer();
+  for (const CrcCase& c : CrcCases()) {
+    const uint8_t* p = buf.data() + c.offset;
+    EXPECT_EQ(Crc32cPortable({p, c.length}, c.seed),
+              BitwiseCrc32c(p, c.length, c.seed))
+        << "offset " << c.offset << " length " << c.length;
+  }
+}
+
+TEST(Crc32c, HardwareMatchesPortableAndBitwise) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("sse4.2")) {
+    GTEST_SKIP() << "CPU lacks SSE4.2: Crc32c runs the portable path, "
+                    "which PortableMatchesBitwise covers";
+  }
+#else
+  GTEST_SKIP() << "no hardware CRC32C path on this architecture: Crc32c "
+                  "runs the portable path, which PortableMatchesBitwise "
+                  "covers";
+#endif
+  const std::vector<uint8_t> buf = CrcBuffer();
+  for (const CrcCase& c : CrcCases()) {
+    const uint8_t* p = buf.data() + c.offset;
+    const uint32_t hw = Crc32c(p, c.length, c.seed);
+    EXPECT_EQ(hw, Crc32cPortable({p, c.length}, c.seed))
+        << "offset " << c.offset << " length " << c.length;
+    EXPECT_EQ(hw, BitwiseCrc32c(p, c.length, c.seed))
+        << "offset " << c.offset << " length " << c.length;
+  }
+}
+
+TEST(Crc32c, ChainsAcrossBlockBoundary) {
+  const std::vector<uint8_t> buf = CrcBuffer();
+  const size_t total = 8200;
+  const uint32_t oneshot = Crc32c(buf.data(), total);
+  for (size_t split : {size_t{1}, kCrcBlock - 1, kCrcBlock, kCrcBlock + 3,
+                       3 * kCrcBlock - 5, 3 * kCrcBlock + 1, size_t{8192}}) {
+    EXPECT_EQ(Crc32c(buf.data() + split, total - split,
+                     Crc32c(buf.data(), split)),
+              oneshot)
+        << "split at " << split;
+  }
+  // The suffix covers a whole three-block round starting mid-buffer.
+  EXPECT_EQ(Crc32c(buf.data() + kCrcBlock + 1, 3 * kCrcBlock,
+                   Crc32c(buf.data(), kCrcBlock + 1)),
+            Crc32c(buf.data(), 4 * kCrcBlock + 1));
+}
+
 TEST(Dims, ElementCountAndStrides) {
   Dims d{3, 4, 5};
   EXPECT_EQ(ElementCount(d), 60);

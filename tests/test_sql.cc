@@ -329,6 +329,62 @@ TEST_F(SessionTest, Int64OverflowWrapsIdenticallyOnEveryPath) {
   col::SetForceScalar(false);
 }
 
+TEST_F(SessionTest, FloatToIntCoercionIsDefinedOnEveryPath) {
+  // % coerces FLOAT operands to BIGINT by truncation. NaN, +-inf and values
+  // outside [-2^63, 2^63) become INT64_MIN on the row and the columnar path
+  // alike, and INT64_MIN % 7 = -1.
+  Run("CREATE TABLE f2i (id BIGINT, v FLOAT)");
+  Run("INSERT INTO f2i VALUES (1, 1e300), (2, -1e300), (3, 1e308 * 10), "
+      "(4, -1e308 * 10), (5, 1e308 * 10 - 1e308 * 10), "
+      "(6, 9223372036854775808.0), (7, -9223372036854775808.0), "
+      "(8, 12.75), (9, -12.75), (10, 9223372036854774784.0)");
+  const std::string from_less =
+      "SELECT 1e300 % 7, -1e300 % 7, 1e308 * 10 % 7, 12.75 % 7, "
+      "-9223372036854775808.0 % 7";
+  const std::string row_q = "SELECT v % 7 FROM f2i";
+  const std::string agg_q = "SELECT SUM(v % 7) FROM f2i";
+  // Rows 1-7 coerce to INT64_MIN; 12 % 7 = 5, -12 % 7 = -5 and
+  // (2^63 - 1024) % 7 = 6.
+  const std::string want = "i-1,i-1,i-1,i5,i-1,;|"
+                           "i-1,;i-1,;i-1,;i-1,;i-1,;i-1,;i-1,;i5,;i-5,;i6,;|"
+                           "i-1,;|";
+  for (bool force_scalar : {false, true}) {
+    col::SetForceScalar(force_scalar);
+    for (bool vectorized : {false, true}) {
+      for (int batch : {1, 1024}) {
+        SCOPED_TRACE("scalar=" + std::to_string(force_scalar) +
+                     " vectorized=" + std::to_string(vectorized) +
+                     " batch=" + std::to_string(batch));
+        executor_.set_vectorized(vectorized);
+        executor_.set_batch_rows(batch);
+        EXPECT_EQ(Render(Run(from_less)) + Render(Run(row_q)) +
+                      Render(Run(agg_q)),
+                  want);
+      }
+    }
+  }
+  col::SetForceScalar(false);
+}
+
+TEST_F(SessionTest, Int64MinLiteralOnlyUnderUnaryMinus) {
+  EXPECT_EQ(Render(Run("SELECT -9223372036854775808, "
+                       "-9223372036854775808 + 1, - -9223372036854775808")),
+            "i-9223372036854775808,i-9223372036854775807,"
+            "i-9223372036854775808,;|");
+  // The bare magnitude, a binary minus and a parenthesized operand stay
+  // out of range.
+  for (const char* sql : {"SELECT 9223372036854775808",
+                          "SELECT 1 -9223372036854775808",
+                          "SELECT -(9223372036854775808)",
+                          "SELECT -9223372036854775809"}) {
+    auto r = session_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_NE(r.status().message().find("integer literal out of range"),
+              std::string::npos)
+        << sql << ": " << r.status().ToString();
+  }
+}
+
 TEST_F(SessionTest, SubscriptSugarReadsAndSlices) {
   Run("DECLARE @a VARBINARY(100) = FloatArray.Vector_5(10, 20, 30, 40, 50)");
   auto results = Run("SELECT @a[3]");
