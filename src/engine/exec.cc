@@ -108,41 +108,6 @@ Status Executor::Bind(Query* q) const {
   return Status::OK();
 }
 
-Result<std::vector<std::vector<Value>>> Executor::MaterializeTvf(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryStats* stats) {
-  std::vector<Value> args;
-  for (const ExprPtr& a : q.tvf_args) {
-    SQLARRAY_ASSIGN_OR_RETURN(Value v, EvalStandalone(*a, variables, stats));
-    args.push_back(std::move(v));
-  }
-  UdfContext ctx;
-  ctx.pool = db_->buffer_pool();
-  ctx.stats = stats;
-  ctx.cost = &cost_;
-  ctx.subquery = subquery_fn_;
-  ctx.limits = gov::ThreadLimits();
-  if (ctx.limits != nullptr) {
-    SQLARRAY_RETURN_IF_ERROR(ctx.limits->Check());
-  }
-  SQLARRAY_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> rows,
-                            q.tvf->fn(args, ctx));
-  if (stats != nullptr) {
-    // The hosted TVF streams every produced row across the CLR boundary.
-    stats->udf_calls++;
-    double charge_ns =
-        cost_.clr_call_ns + cost_.tvf_row_ns * static_cast<double>(rows.size());
-    stats->ChargeCpuNs(charge_ns);
-    if (stats->track_udf_detail) {
-      QueryStats::UdfFnStats& d =
-          stats->udf_by_fn[q.tvf->schema + "." + q.tvf->name];
-      d.calls++;
-      d.cpu_ns += charge_ns;
-    }
-  }
-  return rows;
-}
-
 namespace {
 
 bool HasAggregates(const Query& q) {
@@ -172,7 +137,8 @@ struct AggState {
   std::vector<uint8_t> uda_state;
 
   /// Combines a partial accumulator from another morsel (native aggregate
-  /// kinds only; UDAs never take the morsel plan). Integer sums wrap.
+  /// kinds only: a UDA query is a one-morsel grid, so its state never
+  /// merges). Integer sums wrap.
   void Merge(const AggState& other) {
     count += other.count;
     sum += other.sum;
@@ -237,12 +203,16 @@ bool IsCountStar(const SelectItem& item) {
          (item.expr == nullptr || item.expr->kind == Expr::Kind::kStar);
 }
 
-/// True when a table scan takes the chunk helpers' batched branch: a batch
-/// setting above 1 and no GROUP BY (group creation is inherently per-row).
-/// Row-mode TOP stays on the early-exit row loop too: gathering a whole
-/// batch past the limit would inflate rows_scanned.
+/// True when a scan takes the chunk helpers' batched branch: a table
+/// source, a batch setting above 1, no GROUP BY (group creation is
+/// inherently per-row) and no UDA (its state crosses the boundary row by
+/// row). Row-mode TOP stays on the early-exit row loop too: gathering a
+/// whole batch past the limit would inflate rows_scanned.
 bool BatchedScan(const Query& q, int batch_rows) {
-  if (batch_rows <= 1 || !q.group_by.empty()) return false;
+  if (q.table == nullptr || batch_rows <= 1 || !q.group_by.empty() ||
+      HasUda(q)) {
+    return false;
+  }
   return HasAggregates(q) || q.top < 0;
 }
 
@@ -447,12 +417,13 @@ bool QueryHasBoundCall(const Query& q, const Pred& pred) {
   return false;
 }
 
-/// True when the scan may use more than one worker. Reader-style UDFs
-/// re-enter the session through the subquery runner, so a query calling
-/// one runs on the calling thread.
+/// True when the scan may use more than one worker. A UDA folds one state
+/// in scan order, and reader-style UDFs re-enter the session through the
+/// subquery runner, so a query with either runs on the calling thread.
 bool ParallelSafe(const Query& q) {
-  return !QueryHasBoundCall(
-      q, [](const ScalarFunction& f) { return f.needs_subquery; });
+  return !HasUda(q) &&
+         !QueryHasBoundCall(
+             q, [](const ScalarFunction& f) { return f.needs_subquery; });
 }
 
 /// One group's accumulators. An ungrouped aggregation is the single group
@@ -467,7 +438,8 @@ struct GroupAcc {
 /// The morsel grid and effective worker count for one scan. The grid is a
 /// pure function of the table's page count (never of the worker count) so
 /// merge order — and therefore float results — cannot depend on the degree
-/// of parallelism.
+/// of parallelism. A TVF source has no pages: its grid is one morsel over
+/// the function's materialized rows.
 struct MorselPlanInfo {
   std::vector<storage::PageId> pages;
   size_t morsel_pages = 1;
@@ -484,6 +456,10 @@ Result<MorselPlanInfo> PlanMorselScan(const Query& q, int requested_workers,
                                       int64_t min_pages_override,
                                       storage::PageSource* snap) {
   MorselPlanInfo plan;
+  if (q.tvf != nullptr) {
+    plan.n_morsels = 1;
+    return plan;
+  }
   SQLARRAY_ASSIGN_OR_RETURN(plan.pages, q.table->CollectLeafPages(snap));
   const int64_t n_pages = static_cast<int64_t>(plan.pages.size());
   if (!ParallelSafe(q)) {
@@ -578,8 +554,7 @@ Status FoldUda(const SelectItem& item, const FunctionRegistry* registry,
 /// Folds the current row into one group, item by item: plain items keep
 /// their first-row value, COUNT(*) is a bare increment folded into the
 /// row-scan cost, other native aggregates pay one evaluation step, and UDAs
-/// marshal their state (only the serial sink sees UDAs, so only it passes a
-/// registry).
+/// marshal their state (created through the registry on first sight).
 /// Shared by every row-at-a-time loop, so charges and fold order match.
 Status FoldRow(const Query& q, const CostModel& cost,
                const FunctionRegistry* registry, EvalContext& ctx,
@@ -640,8 +615,8 @@ Status GroupAndFoldRow(const Query& q, const CostModel& cost,
   return FoldRow(q, cost, registry, ctx, &group);
 }
 
-/// Appends every group's output row to `rs` in key order. Aggregate-only
-/// queries over empty inputs still yield one row.
+/// Appends every group's output row to `rs` in key order, up to TOP rows.
+/// Aggregate-only queries over empty inputs still yield one row.
 Status EmitGroups(const Query& q, std::map<std::string, GroupAcc>* groups,
                   UdfContext& udf, ResultSet* rs) {
   const size_t n_items = q.items.size();
@@ -650,6 +625,7 @@ Status EmitGroups(const Query& q, std::map<std::string, GroupAcc>* groups,
   }
   for (auto& [key, group] : *groups) {
     (void)key;
+    if (q.top >= 0 && static_cast<int64_t>(rs->rows.size()) >= q.top) break;
     std::vector<Value> row;
     for (size_t i = 0; i < n_items; ++i) {
       const SelectItem& item = q.items[i];
@@ -695,8 +671,7 @@ void MergeStats(QueryStats* into, const QueryStats& part) {
 /// Fills `batch` from a scan cursor via CopyRows — one memcpy per
 /// leaf-page run instead of a row()/Next() round trip per row. Row bytes,
 /// row order, and page-load points are identical to the per-row loop.
-template <typename Cursor>
-Status FillBatchFromCursor(Cursor& cursor, RowBatch* batch) {
+Status FillBatchFromCursor(storage::BTree::Cursor& cursor, RowBatch* batch) {
   while (!batch->full() && cursor.valid()) {
     SQLARRAY_ASSIGN_OR_RETURN(
         int32_t got, cursor.CopyRows(batch->capacity() - batch->size(),
@@ -709,20 +684,23 @@ Status FillBatchFromCursor(Cursor& cursor, RowBatch* batch) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// The scan pipeline. Every table query without a UDA runs here: the leaf
-// chain is cut into the deterministic morsel grid (engine/parallel.h), and
-// each morsel's rows are filtered and folded into a private partial —
+// The scan pipeline. Every query with a FROM source runs here: a table's
+// leaf pages are cut into the deterministic morsel grid (engine/parallel.h)
+// and a table-valued function is a one-morsel grid over its materialized
+// rows. Each morsel's rows are filtered and folded into a private partial —
 // batched or row at a time, with the same accumulation arithmetic and
 // per-row cost charges either way — then the partials merge in
 // morsel-index order.
 
 /// What every morsel of one scan shares read-only: the query, its grid, the
-/// executor's batch and vector settings, and the UDF context template
-/// (buffer pool, cost model, subquery runner, governance). Each morsel
-/// copies `udf` and points its stats at its own partial.
+/// executor's batch and vector settings, the function registry (UDA
+/// factories), and the UDF context template (buffer pool, cost model,
+/// subquery runner, governance). Each morsel copies `udf` and points its
+/// stats at its own partial.
 struct ScanEnv {
   const Query* q = nullptr;
   const CostModel* cost = nullptr;
+  const FunctionRegistry* registry = nullptr;
   std::map<std::string, Value>* variables = nullptr;
   UdfContext udf;
   storage::PageSource* snap = nullptr;
@@ -736,18 +714,107 @@ struct ScanEnv {
 
 namespace {
 
-/// Opens a cursor over one morsel's slice of the leaf chain: through the
-/// statement's snapshot when one is installed, else through the shared
-/// buffer pool with readahead.
-Result<storage::BTree::ChunkCursor> OpenMorsel(const ScanEnv& env,
-                                               const Morsel& m) {
+/// Evaluates a TVF source's arguments and materializes its rows, charging
+/// the boundary costs to `udf.stats` and governing the call by the scan's
+/// limits.
+Result<std::vector<std::vector<Value>>> MaterializeTvf(const ScanEnv& env,
+                                                       const UdfContext& udf) {
+  const Query& q = *env.q;
+  EvalContext ctx;
+  ctx.variables = env.variables;
+  ctx.udf = udf;
+  std::vector<Value> args;
+  for (const ExprPtr& a : q.tvf_args) {
+    SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*a, ctx));
+    args.push_back(std::move(v));
+  }
+  SQLARRAY_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> rows,
+                            q.tvf->fn(args, ctx.udf));
+  // The hosted TVF streams every produced row across the CLR boundary.
+  QueryStats* stats = udf.stats;
+  const CostModel& cost = *env.cost;
+  stats->udf_calls++;
+  double charge_ns =
+      cost.clr_call_ns + cost.tvf_row_ns * static_cast<double>(rows.size());
+  stats->ChargeCpuNs(charge_ns);
+  if (stats->track_udf_detail) {
+    QueryStats::UdfFnStats& d =
+        stats->udf_by_fn[q.tvf->schema + "." + q.tvf->name];
+    d.calls++;
+    d.cpu_ns += charge_ns;
+  }
+  return rows;
+}
+
+/// One morsel's rows as the row loops read them: a cursor over a slice of
+/// the table's leaf pages or, for the one morsel of a TVF source, the
+/// function's materialized rows.
+class MorselRows {
+ public:
+  explicit MorselRows(storage::BTree::Cursor cursor)
+      : cursor_(std::move(cursor)) {}
+  explicit MorselRows(std::vector<std::vector<Value>> tvf_rows)
+      : tvf_rows_(std::move(tvf_rows)) {}
+
+  bool valid() const {
+    return cursor_ ? cursor_->valid() : tvf_pos_ < tvf_rows_.size();
+  }
+  /// Points the evaluation context at the current row.
+  void Bind(EvalContext* ctx) const {
+    if (cursor_) {
+      ctx->row = cursor_->row().data();
+    } else {
+      ctx->value_row = &tvf_rows_[tvf_pos_];
+    }
+  }
+  Status Next() {
+    if (cursor_) return cursor_->Next();
+    ++tvf_pos_;
+    return Status::OK();
+  }
+  /// The table cursor the batched branch fills from (null for a TVF).
+  storage::BTree::Cursor* cursor() { return cursor_ ? &*cursor_ : nullptr; }
+
+ private:
+  std::optional<storage::BTree::Cursor> cursor_;
+  std::vector<std::vector<Value>> tvf_rows_;
+  size_t tvf_pos_ = 0;
+};
+
+/// Opens one morsel's rows: a TVF source materializes (charging `udf`); a
+/// table morsel reads its slice of the leaf pages through the statement's
+/// snapshot when one is installed, else through the shared buffer pool
+/// with readahead.
+Result<MorselRows> OpenMorsel(const ScanEnv& env, const Morsel& m,
+                              const UdfContext& udf) {
+  if (env.q->tvf != nullptr) {
+    SQLARRAY_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> rows,
+                              MaterializeTvf(env, udf));
+    return MorselRows(std::move(rows));
+  }
   std::vector<storage::PageId> chunk(env.plan.pages.begin() + m.page_begin,
                                      env.plan.pages.begin() + m.page_end);
+  storage::BTree::Cursor cursor;
   if (env.snap != nullptr) {
-    return env.q->table->ScanChunk(env.snap, std::move(chunk));
+    SQLARRAY_ASSIGN_OR_RETURN(
+        cursor, env.q->table->ScanChunk(env.snap, std::move(chunk)));
+  } else {
+    SQLARRAY_ASSIGN_OR_RETURN(
+        cursor, env.q->table->ScanChunk(env.udf.pool, std::move(chunk),
+                                        kMorselReadahead));
   }
-  return env.q->table->ScanChunk(env.udf.pool, std::move(chunk),
-                                 kMorselReadahead);
+  return MorselRows(std::move(cursor));
+}
+
+/// The row loops' evaluation context: the table schema (none for a TVF,
+/// whose rows arrive as values), the variables, and the morsel's UDF
+/// context.
+EvalContext RowContext(const ScanEnv& env, const UdfContext& udf) {
+  EvalContext ctx;
+  ctx.schema = env.q->table != nullptr ? &env.q->table->schema() : nullptr;
+  ctx.variables = env.variables;
+  ctx.udf = udf;
+  return ctx;
 }
 
 /// The batched branch's reader over one morsel: gathers row blocks from the
@@ -783,7 +850,7 @@ class BatchScan {
   }
 
   /// Gathers and filters the next block; false once the morsel is drained.
-  Result<bool> Next(storage::BTree::ChunkCursor& cursor) {
+  Result<bool> Next(storage::BTree::Cursor& cursor) {
     SQLARRAY_RETURN_IF_ERROR(GovCheck(env_.limits()));
     batch.Reset(rsz_, env_.batch_rows);
     SQLARRAY_RETURN_IF_ERROR(FillBatchFromCursor(cursor, &batch));
@@ -833,18 +900,17 @@ struct AggPartial {
   QueryStats stats;
 };
 
-/// Folds one morsel's rows into an aggregation partial: ungrouped queries
-/// take the batched branch when BatchedScan allows, everything else the
-/// row loop.
-Status AggregateChunk(const ScanEnv& env, storage::BTree::ChunkCursor cursor,
-                      AggPartial* out) {
+/// Folds one morsel's rows into an aggregation partial: ungrouped table
+/// queries take the batched branch when BatchedScan allows, everything else
+/// the row loop.
+Status AggregateChunk(const ScanEnv& env, UdfContext& udf,
+                      MorselRows rows, AggPartial* out) {
   const Query& q = *env.q;
   const CostModel& cost = *env.cost;
   const size_t n_items = q.items.size();
-  UdfContext udf = env.udf;
-  udf.stats = &out->stats;
 
   if (BatchedScan(q, env.batch_rows)) {
+    storage::BTree::Cursor& cursor = *rows.cursor();
     BatchScan scan(env, &udf);
     SQLARRAY_RETURN_IF_ERROR(scan.Start());
     const VecQueryPlan* vplan = env.vec();
@@ -901,22 +967,19 @@ Status AggregateChunk(const ScanEnv& env, storage::BTree::ChunkCursor cursor,
     return Status::OK();
   }
 
-  EvalContext ctx;
-  ctx.schema = &q.table->schema();
-  ctx.variables = env.variables;
-  ctx.udf = udf;
-  while (cursor.valid()) {
+  EvalContext ctx = RowContext(env, udf);
+  while (rows.valid()) {
     SQLARRAY_RETURN_IF_ERROR(GovCheck(env.limits()));
-    ctx.row = cursor.row().data();
+    rows.Bind(&ctx);
     out->stats.rows_scanned++;
     out->stats.ChargeCpuNs(cost.row_scan_ns);
     SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(q, ctx));
     if (keep) {
       out->stats.rows_kept++;
-      SQLARRAY_RETURN_IF_ERROR(GroupAndFoldRow(q, cost, nullptr, env.limits(),
-                                               ctx, &out->groups));
+      SQLARRAY_RETURN_IF_ERROR(GroupAndFoldRow(
+          q, cost, env.registry, env.limits(), ctx, &out->groups));
     }
-    SQLARRAY_RETURN_IF_ERROR(cursor.Next());
+    SQLARRAY_RETURN_IF_ERROR(rows.Next());
   }
   return Status::OK();
 }
@@ -925,15 +988,15 @@ Status AggregateChunk(const ScanEnv& env, storage::BTree::ChunkCursor cursor,
 /// buffer at q.top rows (no later morsel can contribute more than that to
 /// the output prefix) and keeps the early-exit row loop; otherwise the
 /// executor's batch setting applies.
-Status RowsChunk(const ScanEnv& env, storage::BTree::ChunkCursor cursor,
-                 std::vector<std::vector<Value>>* rows, QueryStats* stats) {
+Status RowsChunk(const ScanEnv& env, UdfContext& udf, MorselRows source,
+                 std::vector<std::vector<Value>>* rows) {
   const Query& q = *env.q;
   const CostModel& cost = *env.cost;
   const size_t n_items = q.items.size();
-  UdfContext udf = env.udf;
-  udf.stats = stats;
+  QueryStats* stats = udf.stats;
 
   if (BatchedScan(q, env.batch_rows)) {
+    storage::BTree::Cursor& cursor = *source.cursor();
     BatchScan scan(env, &udf);
     SQLARRAY_RETURN_IF_ERROR(scan.Start());
     const VecQueryPlan* vplan = env.vec();
@@ -976,14 +1039,11 @@ Status RowsChunk(const ScanEnv& env, storage::BTree::ChunkCursor cursor,
     return Status::OK();
   }
 
-  EvalContext ctx;
-  ctx.schema = &q.table->schema();
-  ctx.variables = env.variables;
-  ctx.udf = udf;
-  while (cursor.valid()) {
+  EvalContext ctx = RowContext(env, udf);
+  while (source.valid()) {
     SQLARRAY_RETURN_IF_ERROR(GovCheck(env.limits()));
     if (q.top >= 0 && static_cast<int64_t>(rows->size()) >= q.top) break;
-    ctx.row = cursor.row().data();
+    source.Bind(&ctx);
     stats->rows_scanned++;
     stats->ChargeCpuNs(cost.row_scan_ns);
     SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(q, ctx));
@@ -998,7 +1058,7 @@ Status RowsChunk(const ScanEnv& env, storage::BTree::ChunkCursor cursor,
       }
       rows->push_back(std::move(row));
     }
-    SQLARRAY_RETURN_IF_ERROR(cursor.Next());
+    SQLARRAY_RETURN_IF_ERROR(source.Next());
   }
   return Status::OK();
 }
@@ -1018,7 +1078,6 @@ Result<ResultSet> Executor::Execute(const Query& q,
   // rebind their worker thread to per-morsel lanes underneath this.
   obs::ScopedTrace serial_lane(&qctx->trace, obs::kSerialLane);
   SQLARRAY_SPAN("exec.query");
-  storage::BufferPool::Stats pool_before = db_->buffer_pool()->Snapshot();
   obs::MetricsSnapshot metrics_before;
   if (qctx->collect_profile) {
     metrics_before = obs::MetricsRegistry::Global().Snapshot();
@@ -1027,7 +1086,7 @@ Result<ResultSet> Executor::Execute(const Query& q,
                             ExecuteInternal(q, variables, qctx));
   qctx->stats = rs.stats;
   if (qctx->collect_profile) {
-    BuildProfile(q, rs, pool_before, metrics_before, variables, qctx);
+    BuildProfile(q, rs, metrics_before, variables, qctx);
   }
   return rs;
 }
@@ -1056,32 +1115,22 @@ Result<ResultSet> Executor::ExecuteInternal(
   for (const SelectItem& item : q.items) rs.columns.push_back(item.label);
   Stopwatch watch;
   storage::IoStats io_before = db_->disk()->stats();
+  // Every FROM source takes the morsel pipeline (at 1 worker it runs
+  // inline, so results are bit-identical at every worker count).
   const bool aggregate = HasAggregates(q) || !q.group_by.empty();
-  // Every table query without a UDA takes the morsel pipeline (at 1 worker
-  // it runs inline, so results are bit-identical at every worker count);
-  // UDAs and TVF sources fold serially.
-  Status st;
-  if (q.table != nullptr && !HasUda(q)) {
-    st = aggregate ? ExecuteAggregateMorsel(q, variables, qctx, &rs)
-                   : ExecuteRowsMorsel(q, variables, qctx, &rs);
-  } else {
-    st = aggregate ? ExecuteAggregate(q, variables, qctx, &rs)
-                   : ExecuteRows(q, variables, qctx, &rs);
-  }
-  SQLARRAY_RETURN_IF_ERROR(st);
+  SQLARRAY_RETURN_IF_ERROR(aggregate ? ExecuteAggregate(q, variables, qctx, &rs)
+                                     : ExecuteRows(q, variables, qctx, &rs));
   rs.stats.io = db_->disk()->stats() - io_before;
   rs.stats.wall_seconds = watch.ElapsedSeconds();
   return rs;
 }
 
 void Executor::BuildProfile(const Query& q, const ResultSet& rs,
-                            const storage::BufferPool::Stats& pool_before,
                             const obs::MetricsSnapshot& metrics_before,
                             std::map<std::string, Value>* variables,
                             QueryContext* qctx) {
   const QueryStats& stats = rs.stats;
   obs::MetricsSnapshot now = obs::MetricsRegistry::Global().Snapshot();
-  storage::BufferPool::Stats pool_now = db_->buffer_pool()->Snapshot();
 
   // The plan label is derived from the query shape alone — never from which
   // code path happened to run — so the tree is identical at every worker
@@ -1111,8 +1160,7 @@ void Executor::BuildProfile(const Query& q, const ResultSet& rs,
   // variables, and executor settings, so the tree stays deterministic at
   // every worker count. An operator reads "vectorized" when the batched
   // branch runs AND its expression compiles to a columnar program.
-  const bool batched_eval = vectorized_ && q.table != nullptr && !HasUda(q) &&
-                            BatchedScan(q, batch_rows_);
+  const bool batched_eval = vectorized_ && BatchedScan(q, batch_rows_);
 
   obs::ProfileNode* parent = root;
   if (!from_less) {
@@ -1163,8 +1211,10 @@ void Executor::BuildProfile(const Query& q, const ResultSet& rs,
                     : "tvf " + q.tvf->schema + "." + q.tvf->name);
     scan->counters.rows_out = stats.rows_scanned;
     scan->counters.pages_read = stats.io.pages_read;
-    scan->counters.cache_hits = pool_now.hits - pool_before.hits;
-    scan->counters.cache_misses = pool_now.misses - pool_before.misses;
+    scan->counters.cache_hits =
+        now.Delta(metrics_before, "storage.buffer_pool.hits");
+    scan->counters.cache_misses =
+        now.Delta(metrics_before, "storage.buffer_pool.misses");
     scan->counters.modeled_seconds =
         static_cast<double>(stats.rows_scanned) * cost_.row_scan_ns * 1e-9;
     scan->counters.wall_seconds =
@@ -1198,98 +1248,6 @@ void Executor::BuildProfile(const Query& q, const ResultSet& rs,
   }
 }
 
-Status Executor::ExecuteAggregate(const Query& q,
-                                  std::map<std::string, Value>* variables,
-                                  QueryContext* qctx, ResultSet* rs) {
-  SQLARRAY_SPAN("exec.scan");
-  const gov::QueryLimits* limits = qctx != nullptr ? &qctx->limits : nullptr;
-  EvalContext ctx;
-  ctx.schema = q.table != nullptr ? &q.table->schema() : nullptr;
-  ctx.variables = variables;
-  ctx.udf.pool = db_->buffer_pool();
-  ctx.udf.subquery = subquery_fn_;
-  ctx.udf.stats = &rs->stats;
-  ctx.udf.cost = &cost_;
-  ctx.udf.limits = limits;
-
-  // Row source: clustered index scan or materialized TVF output.
-  std::vector<std::vector<Value>> tvf_rows;
-  std::optional<storage::BTree::Cursor> cursor;
-  size_t tvf_pos = 0;
-  bool first_row = true;
-  if (q.tvf != nullptr) {
-    SQLARRAY_ASSIGN_OR_RETURN(tvf_rows,
-                              MaterializeTvf(q, variables, &rs->stats));
-  } else {
-    SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::Cursor c,
-                              q.table->Scan(SnapOf(qctx)));
-    cursor = std::move(c);
-  }
-  auto next_row = [&](EvalContext* c) -> Result<bool> {
-    if (q.tvf != nullptr) {
-      if (tvf_pos >= tvf_rows.size()) return false;
-      c->value_row = &tvf_rows[tvf_pos++];
-      return true;
-    }
-    if (!first_row) SQLARRAY_RETURN_IF_ERROR(cursor->Next());
-    first_row = false;
-    if (!cursor->valid()) return false;
-    c->row = cursor->row().data();
-    return true;
-  };
-
-  std::map<std::string, GroupAcc> groups;
-  while (true) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-    SQLARRAY_ASSIGN_OR_RETURN(bool has_row, next_row(&ctx));
-    if (!has_row) break;
-    rs->stats.rows_scanned++;
-    rs->stats.ChargeCpuNs(cost_.row_scan_ns);
-    SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(q, ctx));
-    if (!keep) continue;
-    rs->stats.rows_kept++;
-    SQLARRAY_RETURN_IF_ERROR(
-        GroupAndFoldRow(q, cost_, registry_, limits, ctx, &groups));
-  }
-  return EmitGroups(q, &groups, ctx.udf, rs);
-}
-
-Status Executor::ExecuteRows(const Query& q,
-                             std::map<std::string, Value>* variables,
-                             QueryContext* qctx, ResultSet* rs) {
-  SQLARRAY_SPAN("exec.scan");
-  const gov::QueryLimits* limits = qctx != nullptr ? &qctx->limits : nullptr;
-  EvalContext ctx;
-  ctx.variables = variables;
-  ctx.udf.pool = db_->buffer_pool();
-  ctx.udf.subquery = subquery_fn_;
-  ctx.udf.stats = &rs->stats;
-  ctx.udf.cost = &cost_;
-  ctx.udf.limits = limits;
-
-  SQLARRAY_ASSIGN_OR_RETURN(std::vector<std::vector<Value>> tvf_rows,
-                            MaterializeTvf(q, variables, &rs->stats));
-  for (const std::vector<Value>& tvf_row : tvf_rows) {
-    SQLARRAY_RETURN_IF_ERROR(GovCheck(limits));
-    if (q.top >= 0 && static_cast<int64_t>(rs->rows.size()) >= q.top) break;
-    ctx.value_row = &tvf_row;
-    rs->stats.rows_scanned++;
-    rs->stats.ChargeCpuNs(cost_.row_scan_ns);
-    SQLARRAY_ASSIGN_OR_RETURN(bool keep, RowPasses(q, ctx));
-    if (!keep) continue;
-    rs->stats.rows_kept++;
-    SQLARRAY_RETURN_IF_ERROR(GovCharge(limits, RowFootprint(q.items.size())));
-    std::vector<Value> row;
-    row.reserve(q.items.size());
-    for (const SelectItem& item : q.items) {
-      SQLARRAY_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, ctx));
-      row.push_back(std::move(v));
-    }
-    rs->rows.push_back(std::move(row));
-  }
-  return Status::OK();
-}
-
 void Executor::RunOnWorkers(int workers, const std::function<void(int)>& fn) {
   if (workers <= 1) {
     // Inline execution: no thread dispatch, but the identical morsel grid
@@ -1310,6 +1268,7 @@ Result<ScanEnv> Executor::PlanScan(const Query& q,
   ScanEnv env;
   env.q = &q;
   env.cost = &cost_;
+  env.registry = registry_;
   env.variables = variables;
   env.udf.pool = db_->buffer_pool();
   env.udf.cost = &cost_;
@@ -1332,8 +1291,9 @@ Result<ScanEnv> Executor::PlanScan(const Query& q,
 Status Executor::RunMorselScan(
     const ScanEnv& env, QueryContext* qctx,
     const std::function<Status(const Morsel&)>& body) {
-  MorselQueue queue(env.plan.pages.size(), env.plan.morsel_pages,
-                    env.plan.workers);
+  // A TVF grid has no pages; its one morsel stands for the function's rows.
+  MorselQueue queue(env.q->tvf != nullptr ? 1 : env.plan.pages.size(),
+                    env.plan.morsel_pages, env.plan.workers);
   if (queue.morsel_count() == 0) return Status::OK();
   std::vector<Status> morsel_status(queue.morsel_count());
   std::atomic<bool> abort{false};
@@ -1375,9 +1335,9 @@ Status Executor::RunMorselScan(
   return Status::OK();
 }
 
-Status Executor::ExecuteAggregateMorsel(
-    const Query& q, std::map<std::string, Value>* variables,
-    QueryContext* qctx, ResultSet* rs) {
+Status Executor::ExecuteAggregate(const Query& q,
+                                  std::map<std::string, Value>* variables,
+                                  QueryContext* qctx, ResultSet* rs) {
   SQLARRAY_ASSIGN_OR_RETURN(ScanEnv env, PlanScan(q, variables, qctx));
   std::vector<AggPartial> partials(env.plan.n_morsels);
   for (AggPartial& p : partials) {
@@ -1385,9 +1345,11 @@ Status Executor::ExecuteAggregateMorsel(
   }
   SQLARRAY_RETURN_IF_ERROR(
       RunMorselScan(env, qctx, [&](const Morsel& m) -> Status {
-        SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::ChunkCursor cursor,
-                                  OpenMorsel(env, m));
-        return AggregateChunk(env, std::move(cursor), &partials[m.index]);
+        AggPartial& out = partials[m.index];
+        UdfContext udf = env.udf;
+        udf.stats = &out.stats;
+        SQLARRAY_ASSIGN_OR_RETURN(MorselRows rows, OpenMorsel(env, m, udf));
+        return AggregateChunk(env, udf, std::move(rows), &out);
       }));
 
   // Merge the per-morsel partial groups in morsel-index order — the
@@ -1413,9 +1375,9 @@ Status Executor::ExecuteAggregateMorsel(
   return EmitGroups(q, &groups, udf, rs);
 }
 
-Status Executor::ExecuteRowsMorsel(const Query& q,
-                                   std::map<std::string, Value>* variables,
-                                   QueryContext* qctx, ResultSet* rs) {
+Status Executor::ExecuteRows(const Query& q,
+                             std::map<std::string, Value>* variables,
+                             QueryContext* qctx, ResultSet* rs) {
   SQLARRAY_ASSIGN_OR_RETURN(ScanEnv env, PlanScan(q, variables, qctx));
   struct RowsPartial {
     std::vector<std::vector<Value>> rows;
@@ -1454,10 +1416,11 @@ Status Executor::ExecuteRowsMorsel(const Query& q,
           mark_done(m.index, 0);  // skipped: cannot reach the output prefix
           return Status::OK();
         }
-        SQLARRAY_ASSIGN_OR_RETURN(storage::BTree::ChunkCursor cursor,
-                                  OpenMorsel(env, m));
+        UdfContext udf = env.udf;
+        udf.stats = &out.stats;
+        SQLARRAY_ASSIGN_OR_RETURN(MorselRows rows, OpenMorsel(env, m, udf));
         SQLARRAY_RETURN_IF_ERROR(
-            RowsChunk(env, std::move(cursor), &out.rows, &out.stats));
+            RowsChunk(env, udf, std::move(rows), &out.rows));
         mark_done(m.index, static_cast<int64_t>(out.rows.size()));
         return Status::OK();
       }));

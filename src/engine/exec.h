@@ -3,12 +3,14 @@
 //
 // Execution is real (results are actually computed); virtual time is
 // accounted against the CostModel so benches can report the modeled testbed
-// numbers next to measured wall time. Every table scan without a UDA runs
+// numbers next to measured wall time. Every query with a FROM source runs
 // one morsel-driven pipeline (source -> filter -> aggregate/project) over a
 // persistent worker pool (engine/parallel.h), with partial results merged in
 // deterministic morsel-index order so any worker count produces
-// bit-identical results. UDAs and table-valued-function sources fold
-// serially.
+// bit-identical results. A table source is cut into a grid of leaf-page
+// morsels; a table-valued function is a one-morsel grid over its
+// materialized rows. Queries that fold a UDA or call a reader-style UDF run
+// as a one-morsel grid on the calling thread.
 #pragma once
 
 #include <atomic>
@@ -24,7 +26,6 @@
 #include "engine/parallel.h"
 #include "engine/query_context.h"
 #include "obs/metrics.h"
-#include "storage/buffer_pool.h"
 #include "storage/table.h"
 
 namespace sqlarray::engine {
@@ -119,11 +120,11 @@ class Executor {
   /// is active at a time; installing another displaces the previous scope.
   [[nodiscard]] SubqueryScope InstallSubqueryRunner(SubqueryFn fn);
 
-  /// Degree of parallelism for table scans. Every table query without a
-  /// UDA runs the morsel pipeline; the effective worker count is capped by
-  /// the table's page count so tiny scans skip the fixed per-worker setup,
-  /// and a query that calls a reader-style UDF runs on the calling thread
-  /// as a one-morsel grid. Results are bit-identical at any worker count:
+  /// Degree of parallelism for table scans. Every query runs the morsel
+  /// pipeline; the effective worker count is capped by the table's page
+  /// count so tiny scans skip the fixed per-worker setup, and a query that
+  /// folds a UDA or calls a reader-style UDF runs on the calling thread as
+  /// a one-morsel grid. Results are bit-identical at any worker count:
   /// the grid depends only on the table, 1 worker runs it inline (no thread
   /// dispatch), and partials always merge in morsel-index order.
   void set_scan_workers(int workers) { scan_workers_ = workers; }
@@ -189,41 +190,28 @@ class Executor {
                                     std::map<std::string, Value>* variables,
                                     QueryContext* qctx);
   /// Builds qctx->profile from the executed query, the result's stats, the
-  /// buffer-pool and registry deltas spanning the execution, and the trace.
+  /// registry deltas spanning the execution (buffer-pool hits and misses
+  /// included), and the trace.
   void BuildProfile(const Query& q, const ResultSet& rs,
-                    const storage::BufferPool::Stats& pool_before,
                     const obs::MetricsSnapshot& metrics_before,
                     std::map<std::string, Value>* variables,
                     QueryContext* qctx);
-  /// Serial sink for UDAs and TVF sources: one row at a time, grouped
-  /// or not, in source order.
-  Status ExecuteAggregate(const Query& q,
-                          std::map<std::string, Value>* variables,
-                          QueryContext* qctx, ResultSet* rs);
-  /// Row-mode projection over a TVF source.
-  Status ExecuteRows(const Query& q, std::map<std::string, Value>* variables,
-                     QueryContext* qctx, ResultSet* rs);
-  /// Evaluates a TVF source's arguments and materializes its rows, charging
-  /// the boundary costs.
-  Result<std::vector<std::vector<Value>>> MaterializeTvf(
-      const Query& q, std::map<std::string, Value>* variables,
-      QueryStats* stats);
 
-  /// Plans a table scan: the morsel grid, the effective worker count, the
-  /// compiled columnar plan, and the UDF context its morsels share.
+  /// Plans a scan of the query's source: the morsel grid, the effective
+  /// worker count, the compiled columnar plan, and the UDF context its
+  /// morsels share.
   Result<ScanEnv> PlanScan(const Query& q,
                            std::map<std::string, Value>* variables,
                            QueryContext* qctx);
   /// Morsel-driven aggregation, grouped or not: per-morsel partial groups
-  /// merged in morsel-index order.
-  Status ExecuteAggregateMorsel(const Query& q,
-                                std::map<std::string, Value>* variables,
-                                QueryContext* qctx, ResultSet* rs);
+  /// merged in morsel-index order, emitted in key order up to TOP.
+  Status ExecuteAggregate(const Query& q,
+                          std::map<std::string, Value>* variables,
+                          QueryContext* qctx, ResultSet* rs);
   /// Morsel-driven row-mode scan: per-morsel result buffers gathered in
   /// page order; TOP short-circuits through a shared row-count token.
-  Status ExecuteRowsMorsel(const Query& q,
-                           std::map<std::string, Value>* variables,
-                           QueryContext* qctx, ResultSet* rs);
+  Status ExecuteRows(const Query& q, std::map<std::string, Value>* variables,
+                     QueryContext* qctx, ResultSet* rs);
   /// Runs `body` over every morsel of the scan's grid on its worker count
   /// (inline at 1 worker); returns the first failure in morsel order. Each
   /// body invocation runs under a trace lane equal to its morsel index

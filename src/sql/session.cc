@@ -80,7 +80,8 @@ Result<storage::RowValue> ToRowValue(const Value& v,
 }
 
 /// Three-way comparison of result values for ORDER BY: NULL first, then by
-/// kind, numerics by value, strings and binaries lexicographically.
+/// kind, numerics by value (two BIGINTs exactly, so neighbours above 2^53
+/// do not tie), strings and binaries lexicographically.
 int CompareValues(const Value& a, const Value& b) {
   auto numeric = [](const Value& v) {
     return v.kind() == Value::Kind::kInt64 ||
@@ -88,6 +89,10 @@ int CompareValues(const Value& a, const Value& b) {
   };
   if (a.is_null() || b.is_null()) {
     return (a.is_null() ? 0 : 1) - (b.is_null() ? 0 : 1);
+  }
+  if (a.kind() == Value::Kind::kInt64 && b.kind() == Value::Kind::kInt64) {
+    int64_t x = a.AsInt().value(), y = b.AsInt().value();
+    return x < y ? -1 : (x > y ? 1 : 0);
   }
   if (numeric(a) && numeric(b)) {
     double x = a.AsDouble().value(), y = b.AsDouble().value();
@@ -402,7 +407,9 @@ Result<engine::ResultSet> Session::ExecuteSelect(SelectStmt& sel,
     SQLARRAY_ASSIGN_OR_RETURN(q.table,
                               executor_->db()->GetTable(sel.from_table));
   }
-  q.top = sel.top;
+  // With ORDER BY, TOP keeps the first rows of the sorted result, so the
+  // executor returns every row and the truncation happens after the sort.
+  q.top = sel.order_by.empty() ? sel.top : -1;
 
   bool has_assignment = false;
   for (size_t i = 0; i < sel.items.size(); ++i) {
@@ -508,6 +515,12 @@ Result<engine::ResultSet> Session::ExecuteSelect(SelectStmt& sel,
       keys.emplace_back(col, key.descending);
     }
     SortResult(&rs, keys);
+    if (sel.top >= 0 && static_cast<int64_t>(rs.rows.size()) > sel.top) {
+      rs.rows.resize(static_cast<size_t>(sel.top));
+      if (qctx->collect_profile) {
+        qctx->profile.mutable_root()->counters.rows_out = sel.top;
+      }
+    }
   }
 
   if (has_assignment) {

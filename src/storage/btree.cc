@@ -489,68 +489,8 @@ Result<bool> BTree::Delete(int64_t key) {
   return true;
 }
 
-Status BTree::Cursor::LoadLeaf(PageId id) {
-  while (id != kNullPage) {
-    SQLARRAY_ASSIGN_OR_RETURN(PinnedPage page,
-                              fetch_ ? fetch_(id) : pool_->GetPage(id));
-    page_ = *page;
-    count_ = PageCount(page_);
-    next_ = LeafNext(page_);
-    pos_ = 0;
-    if (count_ > 0) {
-      valid_ = true;
-      return Status::OK();
-    }
-    id = next_;  // skip empty leaves
-  }
-  valid_ = false;
-  return Status::OK();
-}
-
-std::span<const uint8_t> BTree::Cursor::row() const {
-  return std::span<const uint8_t>(
-      page_.data() + kBTreePageHeader + pos_ * row_size_,
-      static_cast<size_t>(row_size_));
-}
-
-Status BTree::Cursor::Next() {
-  if (!valid_) return Status::OK();
-  if (++pos_ < count_) return Status::OK();
-  return LoadLeaf(next_);
-}
-
-Result<int32_t> BTree::Cursor::CopyRows(int32_t max_rows, uint8_t* out) {
-  int32_t copied = 0;
-  while (copied < max_rows && valid_) {
-    uint32_t run = count_ - pos_;
-    if (run > static_cast<uint32_t>(max_rows - copied)) {
-      run = static_cast<uint32_t>(max_rows - copied);
-    }
-    std::memcpy(out + static_cast<size_t>(copied) * row_size_,
-                page_.data() + kBTreePageHeader + pos_ * row_size_,
-                static_cast<size_t>(run) * row_size_);
-    copied += static_cast<int32_t>(run);
-    pos_ += run;
-    // Mirror Next(): consuming a page's last row loads the next page
-    // immediately, so page I/O lands at the same points either way.
-    if (pos_ >= count_) SQLARRAY_RETURN_IF_ERROR(LoadLeaf(next_));
-  }
-  return copied;
-}
-
-Status BTree::ChunkCursor::LoadNextPage() {
+Status BTree::Cursor::LoadNextPage() {
   while (page_idx_ < pages_.size()) {
-    if (fetch_) {
-      SQLARRAY_ASSIGN_OR_RETURN(PinnedPage page, fetch_(pages_[page_idx_++]));
-      page_ = *page;
-      count_ = PageCount(page_);
-      pos_ = 0;
-      if (count_ > 0) {
-        valid_ = true;
-        return Status::OK();
-      }
-      continue;
-    }
     if (readahead_ > 0) {
       // Best-effort readahead: issue the upcoming reads contiguously. The
       // authoritative (error-checked, retried) read is the GetPage below.
@@ -561,8 +501,9 @@ Status BTree::ChunkCursor::LoadNextPage() {
         (void)pool_->Prefetch(pages_[prefetched_until_++]);
       }
     }
+    const PageId id = pages_[page_idx_++];
     SQLARRAY_ASSIGN_OR_RETURN(PinnedPage page,
-                              pool_->GetPage(pages_[page_idx_++]));
+                              fetch_ ? fetch_(id) : pool_->GetPage(id));
     page_ = *page;
     count_ = PageCount(page_);
     pos_ = 0;
@@ -575,13 +516,13 @@ Status BTree::ChunkCursor::LoadNextPage() {
   return Status::OK();
 }
 
-Status BTree::ChunkCursor::Next() {
+Status BTree::Cursor::Next() {
   if (!valid_) return Status::OK();
   if (++pos_ < count_) return Status::OK();
   return LoadNextPage();
 }
 
-Result<int32_t> BTree::ChunkCursor::CopyRows(int32_t max_rows, uint8_t* out) {
+Result<int32_t> BTree::Cursor::CopyRows(int32_t max_rows, uint8_t* out) {
   int32_t copied = 0;
   while (copied < max_rows && valid_) {
     uint32_t run = count_ - pos_;
@@ -598,10 +539,10 @@ Result<int32_t> BTree::ChunkCursor::CopyRows(int32_t max_rows, uint8_t* out) {
   return copied;
 }
 
-Result<BTree::ChunkCursor> BTree::ScanChunk(BufferPool* pool,
-                                            std::vector<PageId> pages,
-                                            int readahead_pages) const {
-  ChunkCursor c;
+Result<BTree::Cursor> BTree::ScanChunk(BufferPool* pool,
+                                       std::vector<PageId> pages,
+                                       int readahead_pages) const {
+  Cursor c;
   c.pool_ = pool;
   c.row_size_ = row_size_;
   c.pages_ = std::move(pages);
@@ -611,12 +552,8 @@ Result<BTree::ChunkCursor> BTree::ScanChunk(BufferPool* pool,
 }
 
 Result<BTree::Cursor> BTree::ScanAll() const {
-  Cursor c;
-  c.pool_ = pool_;
-  if (io_ != nullptr) c.fetch_ = io_->fetch;
-  c.row_size_ = row_size_;
-  SQLARRAY_RETURN_IF_ERROR(c.LoadLeaf(first_leaf_));
-  return c;
+  if (io_ != nullptr) return ScanChunkVia(io_->fetch, leaf_ids_, row_size_);
+  return ScanChunk(pool_, leaf_ids_);
 }
 
 namespace {
@@ -643,16 +580,6 @@ Result<PageId> FirstLeafVia(const PageFetcher& fetch, PageId root) {
 
 }  // namespace
 
-Result<BTree::Cursor> BTree::ScanAllVia(PageFetcher fetch, PageId root,
-                                        int64_t row_size) {
-  SQLARRAY_ASSIGN_OR_RETURN(PageId first_leaf, FirstLeafVia(fetch, root));
-  Cursor c;
-  c.fetch_ = std::move(fetch);
-  c.row_size_ = row_size;
-  SQLARRAY_RETURN_IF_ERROR(c.LoadLeaf(first_leaf));
-  return c;
-}
-
 Result<std::vector<PageId>> BTree::CollectLeafPagesVia(
     const PageFetcher& fetch, PageId root) {
   SQLARRAY_ASSIGN_OR_RETURN(PageId leaf, FirstLeafVia(fetch, root));
@@ -672,10 +599,10 @@ Result<std::vector<PageId>> BTree::CollectLeafPagesVia(
   return out;
 }
 
-Result<BTree::ChunkCursor> BTree::ScanChunkVia(PageFetcher fetch,
-                                               std::vector<PageId> pages,
-                                               int64_t row_size) {
-  ChunkCursor c;
+Result<BTree::Cursor> BTree::ScanChunkVia(PageFetcher fetch,
+                                          std::vector<PageId> pages,
+                                          int64_t row_size) {
+  Cursor c;
   c.fetch_ = std::move(fetch);
   c.row_size_ = row_size;
   c.pages_ = std::move(pages);

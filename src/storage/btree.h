@@ -2,8 +2,10 @@
 //
 // Every table in the mini engine is a clustered index — the structure the
 // Table 1 queries scan ("a simple clustered index scan operation reading all
-// pages of the data table"). Leaves form a sibling chain so a full scan is a
-// sequential page walk; lookups descend from the root.
+// pages of the data table"). Scans walk the leaf allocation map (the
+// in-memory stand-in for SQL Server's IAM pages) in key order; lookups
+// descend from the root. Leaves also keep a sibling chain, which snapshot
+// planning and the structural verifier walk.
 //
 // Page layouts (little-endian):
 //   leaf    : [0]=kBTreeLeaf [1..3] rsvd [4..7] row count [8..11] next leaf
@@ -151,47 +153,6 @@ class BTree {
   /// Starts a bulk load. The tree must be empty.
   Result<BulkLoader> StartBulkLoad();
 
-  /// Forward cursor over the whole leaf chain (the clustered index scan).
-  class Cursor {
-   public:
-    bool valid() const { return valid_; }
-    /// Current row bytes (points into the cursor's page copy).
-    std::span<const uint8_t> row() const;
-    /// Advances; clears valid() at the end.
-    Status Next();
-    /// Copies up to `max_rows` consecutive rows into `out` (row-major,
-    /// contiguous) and advances past them — one memcpy per leaf-page run
-    /// instead of a row()/Next() pair per row, the batched scan's fill
-    /// path. Returns the number of rows copied (0 only at end of chain);
-    /// page loads happen at exactly the row positions Next() loads them.
-    Result<int32_t> CopyRows(int32_t max_rows, uint8_t* out);
-
-   private:
-    friend class BTree;
-    BufferPool* pool_ = nullptr;
-    /// When set, pages come from here instead of pool_ (snapshot / shadow
-    /// scans); prefetch is skipped since the fetcher owns its images.
-    PageFetcher fetch_;
-    int64_t row_size_ = 0;
-    Page page_;
-    uint32_t count_ = 0;
-    uint32_t pos_ = 0;
-    PageId next_ = kNullPage;
-    bool valid_ = false;
-
-    Status LoadLeaf(PageId id);
-  };
-
-  /// Opens a scan cursor at the first row. A tree with redirected IO scans
-  /// through its fetcher (read-your-writes for shadow trees).
-  Result<Cursor> ScanAll() const;
-
-  /// Opens a full-chain cursor over the tree rooted at `root` as seen
-  /// through `fetch` — the snapshot scan: the same structure walk as
-  /// ScanAll but against an arbitrary consistent page view.
-  static Result<Cursor> ScanAllVia(PageFetcher fetch, PageId root,
-                                   int64_t row_size);
-
   /// Collects the leaf chain of the tree rooted at `root` as seen through
   /// `fetch`: leftmost descent, then the sibling chain. The snapshot
   /// equivalent of CollectLeafPages() — a pure function of the page view,
@@ -207,21 +168,27 @@ class BTree {
     return leaf_ids_;
   }
 
-  /// A cursor over an explicit list of leaf pages, reading through a
-  /// caller-supplied buffer pool. Parallel scan workers each run one
-  /// ChunkCursor per morsel (a small slice of CollectLeafPages()) against
-  /// the SHARED buffer pool; a readahead window keeps each worker's disk
-  /// stream sequential.
-  class ChunkCursor {
+  /// Forward cursor over an explicit list of leaf pages — the whole
+  /// allocation map (ScanAll) or one morsel's slice of it (ScanChunk).
+  /// Empty leaves are skipped. Parallel scan workers each run one cursor
+  /// per morsel against the SHARED buffer pool; a readahead window keeps
+  /// each worker's disk stream sequential.
+  class Cursor {
    public:
     bool valid() const { return valid_; }
+    /// Current row bytes (points into the cursor's page copy).
     std::span<const uint8_t> row() const {
       return std::span<const uint8_t>(
           page_.data() + kBTreePageHeader + pos_ * row_size_,
           static_cast<size_t>(row_size_));
     }
+    /// Advances; clears valid() at the end.
     Status Next();
-    /// Bulk fill, identical contract to Cursor::CopyRows.
+    /// Copies up to `max_rows` consecutive rows into `out` (row-major,
+    /// contiguous) and advances past them — one memcpy per leaf-page run
+    /// instead of a row()/Next() pair per row, the batched scan's fill
+    /// path. Returns the number of rows copied (0 only at the end); page
+    /// loads happen at exactly the row positions Next() loads them.
     Result<int32_t> CopyRows(int32_t max_rows, uint8_t* out);
 
    private:
@@ -229,7 +196,8 @@ class BTree {
     Status LoadNextPage();
 
     BufferPool* pool_ = nullptr;
-    /// Snapshot fetch; when set, pool_ and readahead are unused.
+    /// When set, pages come from here instead of pool_ (snapshot / shadow
+    /// scans); readahead is skipped since the fetcher owns its images.
     PageFetcher fetch_;
     int64_t row_size_ = 0;
     std::vector<PageId> pages_;
@@ -243,20 +211,25 @@ class BTree {
     bool valid_ = false;
   };
 
+  /// Opens a cursor over every leaf in allocation-map order (the clustered
+  /// index scan). A tree with redirected IO scans through its fetcher
+  /// (read-your-writes for shadow trees).
+  Result<Cursor> ScanAll() const;
+
   /// Opens a cursor over `pages` (a slice of CollectLeafPages()).
   /// `readahead_pages` > 0 issues that many Prefetch reads ahead of the
   /// cursor position, back-to-back in page order, so the per-thread
   /// sequential classifier in the disk model is not broken by expression
   /// or blob reads interleaving into the leaf stream.
-  Result<ChunkCursor> ScanChunk(BufferPool* pool, std::vector<PageId> pages,
-                                int readahead_pages = 0) const;
+  Result<Cursor> ScanChunk(BufferPool* pool, std::vector<PageId> pages,
+                           int readahead_pages = 0) const;
 
   /// Opens a cursor over `pages` reading every page through `fetch` — the
   /// morsel-worker path of a snapshot scan. No readahead: the fetcher owns
   /// its images (chain entries, overlays, log-replay maps).
-  static Result<ChunkCursor> ScanChunkVia(PageFetcher fetch,
-                                          std::vector<PageId> pages,
-                                          int64_t row_size);
+  static Result<Cursor> ScanChunkVia(PageFetcher fetch,
+                                     std::vector<PageId> pages,
+                                     int64_t row_size);
 
  private:
   BTree(BufferPool* pool, int64_t row_size)

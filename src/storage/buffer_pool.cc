@@ -23,9 +23,24 @@ BufferPool::BufferPool(SimulatedDisk* disk, int64_t capacity_pages,
   for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  reg_hits_ = reg.GetCounter("storage.buffer_pool.hits");
-  reg_misses_ = reg.GetCounter("storage.buffer_pool.misses");
-  reg_evictions_ = reg.GetCounter("storage.buffer_pool.evictions");
+  hits_ = reg.GetCounter("storage.buffer_pool.hits");
+  misses_ = reg.GetCounter("storage.buffer_pool.misses");
+  evictions_ = reg.GetCounter("storage.buffer_pool.evictions");
+  prefetches_ = reg.GetCounter("storage.buffer_pool.prefetches");
+  dirty_flushes_ = reg.GetCounter("storage.buffer_pool.dirty_flushes");
+}
+
+BufferPool::Stats BufferPool::Snapshot() const {
+  Stats s;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    for (const auto& [id, entry] : shard->cache) {
+      (void)id;
+      if (entry.pins > 0) ++s.pinned_pages;
+      if (entry.dirty) ++s.dirty_pages;
+    }
+  }
+  return s;
 }
 
 void PinnedPage::Release() {
@@ -45,7 +60,6 @@ void BufferPool::Unpin(PageId id) {
   if (it == shard.cache.end()) return;
   assert(it->second.pins > 0 && "unpin underflow");
   if (it->second.pins > 0 && --it->second.pins == 0) {
-    pinned_pages_.fetch_sub(1, std::memory_order_relaxed);
     // A pinned entry may have kept the shard over capacity; settle now.
     EvictDownTo(&shard, shard_capacity_);
   }
@@ -63,8 +77,7 @@ Status BufferPool::FlushEntryLocked(PageId id, Entry* entry) {
   entry->dirty = false;
   entry->rec_lsn = 0;
   entry->last_lsn = 0;
-  dirty_pages_.fetch_sub(1, std::memory_order_relaxed);
-  dirty_flushes_.fetch_add(1, std::memory_order_relaxed);
+  dirty_flushes_->Add(1);
   return Status::OK();
 }
 
@@ -84,8 +97,7 @@ void BufferPool::EvictDownTo(Shard* shard, int64_t target) {
         continue;
       }
       shard->cache.erase(centry);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      reg_evictions_->Add(1);
+      evictions_->Add(1);
     }
     it = shard->lru.erase(it);  // returns the element after; loop steps back
   }
@@ -116,19 +128,15 @@ Result<PinnedPage> BufferPool::GetPage(PageId id) {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.cache.find(id);
   if (it != shard.cache.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    reg_hits_->Add(1);
+    hits_->Add(1);
     shard.lru.erase(it->second.lru_it);
     shard.lru.push_front(id);
     it->second.lru_it = shard.lru.begin();
-    if (it->second.pins++ == 0) {
-      pinned_pages_.fetch_add(1, std::memory_order_relaxed);
-    }
+    ++it->second.pins;
     return PinnedPage(this, id, it->second.page);
   }
 
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  reg_misses_->Add(1);
+  misses_->Add(1);
   // Read into a local image first: a failed read must leave no cache entry,
   // and retries must not expose a half-written one. The shard lock is held
   // across the read so concurrent misses on one page fault it in exactly
@@ -144,7 +152,6 @@ Result<PinnedPage> BufferPool::GetPage(PageId id) {
   entry.lru_it = shard.lru.begin();
   entry.pins = 1;
   shard.cache.emplace(id, std::move(entry));
-  pinned_pages_.fetch_add(1, std::memory_order_relaxed);
   return PinnedPage(this, id, std::move(image));
 }
 
@@ -153,9 +160,8 @@ Status BufferPool::Prefetch(PageId id) {
   std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.cache.find(id) != shard.cache.end()) return Status::OK();
 
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  reg_misses_->Add(1);
-  prefetches_.fetch_add(1, std::memory_order_relaxed);
+  misses_->Add(1);
+  prefetches_->Add(1);
   auto image = std::make_shared<Page>();
   SQLARRAY_RETURN_IF_ERROR(ReadWithRetry(id, image.get()));
 
@@ -213,7 +219,6 @@ Status BufferPool::WritePage(PageId id, const Page& page) {
     entry.rec_lsn = lsn;
     entry.last_lsn = lsn;
     shard.cache.emplace(id, std::move(entry));
-    dirty_pages_.fetch_add(1, std::memory_order_relaxed);
   } else {
     if (version_sink_ != nullptr) {
       version_sink_->OnPageWrite(id, it->second.page, lsn);
@@ -222,7 +227,6 @@ Status BufferPool::WritePage(PageId id, const Page& page) {
     if (!it->second.dirty) {
       it->second.dirty = true;
       it->second.rec_lsn = lsn;
-      dirty_pages_.fetch_add(1, std::memory_order_relaxed);
     }
     it->second.last_lsn = lsn;
     shard.lru.erase(it->second.lru_it);
@@ -263,9 +267,6 @@ void BufferPool::RestorePage(PageId id, const Page& image,
     // never went backwards for readers — they only ever saw committed LSNs.
     it->second.page = std::make_shared<Page>(image);
   }
-  if (it->second.dirty != state.dirty) {
-    dirty_pages_.fetch_add(state.dirty ? 1 : -1, std::memory_order_relaxed);
-  }
   it->second.dirty = state.dirty;
   it->second.rec_lsn = state.rec_lsn;
   it->second.last_lsn = state.last_lsn;
@@ -301,13 +302,6 @@ Status BufferPool::FlushAllDirty() {
 void BufferPool::DropCacheNoFlush() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [id, entry] : shard->cache) {
-      (void)id;
-      if (entry.dirty) dirty_pages_.fetch_sub(1, std::memory_order_relaxed);
-      if (entry.pins > 0) {
-        pinned_pages_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
     shard->cache.clear();
     shard->lru.clear();
   }

@@ -2,13 +2,15 @@
 //
 // Table 1 was measured with a cold cache ("the database server cache was
 // explicitly cleared before each performance test run"); ClearCache()
-// reproduces that, and hit/miss counters let benches verify their cache
-// assumptions.
+// reproduces that, and the hit/miss counters in the metrics registry
+// (storage.buffer_pool.*) let benches verify their cache assumptions.
 //
 // Concurrency: the cache is partitioned into lock-striped shards (page id
 // modulo shard count, so a sequential leaf chain stripes evenly across
-// shards). Each shard has its own mutex, hash map, and LRU list; hit/miss/
-// pin counters are atomics. All parallel scan workers therefore share ONE
+// shards). Each shard has its own mutex, hash map, and LRU list; each event
+// (hit, miss, eviction, prefetch, dirty flush) is counted once, in the
+// registry, and the pinned/dirty levels are read from the shards on
+// demand. All parallel scan workers therefore share ONE
 // cache — ClearCache() means the same thing in serial and parallel runs —
 // instead of the former private pool per worker that bypassed it. Small
 // pools (below one reasonable shard's worth of pages) collapse to a single
@@ -23,7 +25,6 @@
 // kCorruption naming the page.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <functional>
 #include <list>
@@ -211,32 +212,18 @@ class BufferPool {
   }
   int max_read_attempts() const { return max_read_attempts_; }
 
-  /// One consistent view of the pool's counters. Replaces the old
-  /// hits()/misses()/pinned_pages() getter spread: callers take one
-  /// snapshot and difference two snapshots for per-query attribution.
+  /// The pool's current levels, counted shard by shard under each shard's
+  /// lock. Events (hits, misses, evictions, prefetches, dirty flushes) are
+  /// not here: each is counted once, in the process-wide registry as
+  /// storage.buffer_pool.{hits,misses,evictions,prefetches,dirty_flushes};
+  /// difference two registry snapshots for per-query attribution.
   struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t evictions = 0;
-    int64_t prefetches = 0;
-    /// Currently pinned entries (a level, not a monotone counter).
+    /// Entries with at least one live pin.
     int64_t pinned_pages = 0;
-    /// Currently dirty entries (write-back mode; a level).
+    /// Dirty entries (write-back mode).
     int64_t dirty_pages = 0;
-    /// Dirty pages written to the data disk (eviction + flush fences).
-    int64_t dirty_flushes = 0;
   };
-  Stats Snapshot() const {
-    Stats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.evictions = evictions_.load(std::memory_order_relaxed);
-    s.prefetches = prefetches_.load(std::memory_order_relaxed);
-    s.pinned_pages = pinned_pages_.load(std::memory_order_relaxed);
-    s.dirty_pages = dirty_pages_.load(std::memory_order_relaxed);
-    s.dirty_flushes = dirty_flushes_.load(std::memory_order_relaxed);
-    return s;
-  }
+  Stats Snapshot() const;
 
   int shard_count() const { return static_cast<int>(shards_.size()); }
   SimulatedDisk* disk() { return disk_; }
@@ -288,19 +275,14 @@ class BufferPool {
   bool write_back_ = false;
   WalPageHook wal_hook_;
   VersionSink* version_sink_ = nullptr;
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> evictions_{0};
-  std::atomic<int64_t> prefetches_{0};
-  std::atomic<int64_t> pinned_pages_{0};
-  std::atomic<int64_t> dirty_pages_{0};
-  std::atomic<int64_t> dirty_flushes_{0};
   int max_read_attempts_ = 3;
-  /// Global registry mirrors (resolved once; bumped beside the atomics so
-  /// engine-wide dashboards see all pools without polling each one).
-  obs::Counter* reg_hits_;
-  obs::Counter* reg_misses_;
-  obs::Counter* reg_evictions_;
+  /// Registry event counters (resolved once; shared by every pool in the
+  /// process, so dashboards see all pools without polling each one).
+  obs::Counter* hits_;
+  obs::Counter* misses_;
+  obs::Counter* evictions_;
+  obs::Counter* prefetches_;
+  obs::Counter* dirty_flushes_;
 };
 
 }  // namespace sqlarray::storage

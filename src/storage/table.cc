@@ -57,13 +57,6 @@ Status Table::Insert(Row row) {
   return tree_.Insert(encoded);
 }
 
-Result<BTree::Cursor> Table::Scan(PageSource* snap) const {
-  if (snap == nullptr) return Scan();
-  SQLARRAY_ASSIGN_OR_RETURN(PageId root, snap->TableRoot(name_));
-  return BTree::ScanAllVia([snap](PageId id) { return snap->Fetch(id); },
-                           root, schema_.row_size());
-}
-
 Result<std::vector<PageId>> Table::CollectLeafPages(PageSource* snap) const {
   if (snap == nullptr) return CollectLeafPages();
   SQLARRAY_ASSIGN_OR_RETURN(PageId root, snap->TableRoot(name_));
@@ -71,8 +64,8 @@ Result<std::vector<PageId>> Table::CollectLeafPages(PageSource* snap) const {
       [snap](PageId id) { return snap->Fetch(id); }, root);
 }
 
-Result<BTree::ChunkCursor> Table::ScanChunk(PageSource* snap,
-                                            std::vector<PageId> pages) const {
+Result<BTree::Cursor> Table::ScanChunk(PageSource* snap,
+                                       std::vector<PageId> pages) const {
   return BTree::ScanChunkVia([snap](PageId id) { return snap->Fetch(id); },
                              std::move(pages), schema_.row_size());
 }

@@ -92,14 +92,8 @@ class Table {
     tree_.RestoreMeta(std::move(meta));
   }
 
-  /// Opens a full clustered index scan.
+  /// Opens a full clustered index scan over the leaf allocation map.
   Result<BTree::Cursor> Scan() const { return tree_.ScanAll(); }
-
-  /// Opens a full scan through a snapshot: the root is resolved by the
-  /// snapshot (not the live tree) and every page comes from its Fetch, so
-  /// the walk sees one consistent historical version. A null snapshot falls
-  /// back to Scan().
-  Result<BTree::Cursor> Scan(PageSource* snap) const;
 
   /// Leaf pages in chain order (work division for parallel scans).
   Result<std::vector<PageId>> CollectLeafPages() const {
@@ -114,17 +108,17 @@ class Table {
   /// Opens a cursor over a slice of the leaf pages through `pool` — one
   /// morsel of a parallel scan, usually against the shared pool with a
   /// sequential readahead window.
-  Result<BTree::ChunkCursor> ScanChunk(BufferPool* pool,
-                                       std::vector<PageId> pages,
-                                       int readahead_pages = 0) const {
+  Result<BTree::Cursor> ScanChunk(BufferPool* pool,
+                                  std::vector<PageId> pages,
+                                  int readahead_pages = 0) const {
     return tree_.ScanChunk(pool, std::move(pages), readahead_pages);
   }
 
   /// Opens a morsel cursor whose pages come from `snap` (no readahead; the
   /// snapshot owns its images). `snap` must not be null and must outlive
   /// the cursor.
-  Result<BTree::ChunkCursor> ScanChunk(PageSource* snap,
-                                       std::vector<PageId> pages) const;
+  Result<BTree::Cursor> ScanChunk(PageSource* snap,
+                                  std::vector<PageId> pages) const;
 
   /// Encodes `row` for the clustered index WITHOUT spilling blob bytes:
   /// raw bytes bound for a VARBINARY(MAX) column are replaced by a

@@ -13,6 +13,7 @@
 
 #include "engine/exec.h"
 #include "engine/parallel.h"
+#include "obs/metrics.h"
 #include "storage/table.h"
 
 namespace sqlarray::engine {
@@ -373,6 +374,7 @@ TEST(BufferPoolConcurrencyTest, ManyThreadsPinUnpinAndClear) {
 
   constexpr int kThreads = 8;
   constexpr int kIters = 400;
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   std::atomic<bool> failed{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -395,21 +397,28 @@ TEST(BufferPoolConcurrencyTest, ManyThreadsPinUnpinAndClear) {
       }
     });
   }
-  // Concurrent stats readers race against the counters (atomics) and the
-  // disk's locked IoStats snapshot.
+  // Concurrent stats readers race against the pins (the pool's levels are
+  // counted under the shard locks), the registry counters and the disk's
+  // locked IoStats snapshot.
   threads.emplace_back([&pool, &disk, &failed] {
     for (int i = 0; i < kIters; ++i) {
       storage::BufferPool::Stats ps = pool.Snapshot();
-      if (ps.hits < 0 || ps.misses < 0) failed.store(true);
+      if (ps.pinned_pages < 0 || ps.pinned_pages > kThreads) {
+        failed.store(true);
+      }
+      obs::MetricsSnapshot m = obs::MetricsRegistry::Global().Snapshot();
+      if (m.ValueOr("storage.buffer_pool.hits") < 0) failed.store(true);
       storage::IoStats io = disk.stats();
       if (io.pages_read < 0) failed.store(true);
     }
   });
   for (std::thread& t : threads) t.join();
   EXPECT_FALSE(failed.load());
-  storage::BufferPool::Stats stats = pool.Snapshot();
-  EXPECT_EQ(stats.pinned_pages, 0);
-  EXPECT_GT(stats.hits + stats.misses, 0);
+  EXPECT_EQ(pool.Snapshot().pinned_pages, 0);
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_GT(after.Delta(before, "storage.buffer_pool.hits") +
+                after.Delta(before, "storage.buffer_pool.misses"),
+            0);
 }
 
 TEST(BufferPoolConcurrencyTest, ParallelQueriesShareOneCache) {

@@ -280,6 +280,78 @@ TEST_F(SessionTest, ReaderUdfInsideTableScan) {
   }
 }
 
+TEST_F(SessionTest, TopAppliesAfterOrderBy) {
+  // TOP n with ORDER BY keeps the first n rows of the SORTED result, not the
+  // first n rows of the scan.
+  Run("CREATE TABLE t (id BIGINT, v FLOAT)");
+  Run("INSERT INTO t VALUES (1, 6.0), (2, 5.0), (3, 4.0), (4, 3.0), "
+      "(5, 2.0), (6, 1.0)");
+  Run("DECLARE @a VARBINARY(100) = FloatArray.Vector_4(10, 40, 20, 30)");
+  executor_.set_min_pages_per_worker(0);
+  for (int workers : {1, 4}) {
+    for (int batch : {1, 1024}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " batch=" + std::to_string(batch));
+      executor_.set_scan_workers(workers);
+      executor_.set_batch_rows(batch);
+      EXPECT_EQ(Render(Run("SELECT TOP 2 id FROM t ORDER BY id DESC")),
+                "i6,;i5,;|");
+      EXPECT_EQ(
+          Render(Run("SELECT TOP 3 id, v FROM t WHERE id > 1 ORDER BY v")),
+          "i6,d1,;i5,d2,;i4,d3,;|");
+      EXPECT_EQ(Render(Run("SELECT TOP 2 ix, v FROM FloatArray.ToTable(@a) "
+                           "ORDER BY v DESC")),
+                "i1,d40,;i3,d30,;|");
+      EXPECT_EQ(Render(Run("SELECT TOP 2 id % 3 AS k, COUNT(*) FROM t "
+                           "GROUP BY id % 3 ORDER BY k DESC")),
+                "i2,i2,;i1,i2,;|");
+    }
+  }
+  // The profile's root reports the rows the statement returned.
+  auto explain = Run("EXPLAIN ANALYZE SELECT TOP 2 id FROM t ORDER BY id DESC");
+  ASSERT_EQ(explain.size(), 1u);
+  EXPECT_EQ(explain[0].rows[0][3].AsInt().value(), 2);  // rows_out
+}
+
+TEST_F(SessionTest, TopLimitsAggregateOutput) {
+  Run("CREATE TABLE t (id BIGINT, v FLOAT)");
+  Run("INSERT INTO t VALUES (1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0), "
+      "(5, 5.0), (6, 6.0)");
+  Run("DECLARE @a VARBINARY(100) = FloatArray.Vector_4(10, 40, 20, 30)");
+  executor_.set_min_pages_per_worker(0);
+  for (int workers : {1, 4}) {
+    for (int batch : {1, 1024}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " batch=" + std::to_string(batch));
+      executor_.set_scan_workers(workers);
+      executor_.set_batch_rows(batch);
+      EXPECT_EQ(Render(Run("SELECT TOP 2 id % 3, COUNT(*) FROM t "
+                           "GROUP BY id % 3")),
+                "i0,i2,;i1,i2,;|");
+      EXPECT_EQ(Render(Run("SELECT TOP 1 ix % 2, SUM(v) "
+                           "FROM FloatArray.ToTable(@a) GROUP BY ix % 2")),
+                "i0,d30,;|");
+      EXPECT_EQ(Render(Run("SELECT TOP 5 COUNT(*) FROM t")), "i6,;|");
+      EXPECT_EQ(Render(Run("SELECT TOP 0 COUNT(*) FROM t")), "|");
+    }
+  }
+}
+
+TEST_F(SessionTest, OrderByComparesLargeInt64Exactly) {
+  // Above 2^53 neighbouring BIGINTs share one double; ORDER BY must still
+  // order them exactly.
+  Run("CREATE TABLE big (id BIGINT, v FLOAT)");
+  Run("INSERT INTO big VALUES (9007199254740991, 1.0), "
+      "(9007199254740992, 2.0), (9007199254740993, 3.0), "
+      "(9223372036854775806, 4.0), (9223372036854775807, 5.0)");
+  EXPECT_EQ(Render(Run("SELECT id FROM big ORDER BY id DESC")),
+            "i9223372036854775807,;i9223372036854775806,;"
+            "i9007199254740993,;i9007199254740992,;i9007199254740991,;|");
+  EXPECT_EQ(Render(Run("SELECT 0 - id AS n FROM big ORDER BY n")),
+            "i-9223372036854775807,;i-9223372036854775806,;"
+            "i-9007199254740993,;i-9007199254740992,;i-9007199254740991,;|");
+}
+
 TEST_F(SessionTest, Int64OverflowWrapsIdenticallyOnEveryPath) {
   // Every int64 operator wraps modulo 2^64 on the row and the columnar
   // path alike; INT64_MIN / -1 and % -1 must not trap (SIGFPE).

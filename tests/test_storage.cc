@@ -6,6 +6,7 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "storage/blob.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
@@ -77,15 +78,17 @@ TEST(BufferPool, CachesAndEvicts) {
   ASSERT_TRUE(pool.WritePage(c, page).ok());
   disk.ResetStats();
 
+  // The pool counts its events in the process-wide registry.
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
   ASSERT_TRUE(pool.GetPage(a).ok());  // miss
   ASSERT_TRUE(pool.GetPage(a).ok());  // hit
   ASSERT_TRUE(pool.GetPage(b).ok());  // miss
   ASSERT_TRUE(pool.GetPage(c).ok());  // miss, evicts a (LRU)
   ASSERT_TRUE(pool.GetPage(a).ok());  // miss again
-  storage::BufferPool::Stats stats = pool.Snapshot();
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.misses, 4);
-  EXPECT_EQ(stats.evictions, 2);
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(after.Delta(before, "storage.buffer_pool.hits"), 1);
+  EXPECT_EQ(after.Delta(before, "storage.buffer_pool.misses"), 4);
+  EXPECT_EQ(after.Delta(before, "storage.buffer_pool.evictions"), 2);
   EXPECT_EQ(disk.stats().pages_read, 4);
 }
 
